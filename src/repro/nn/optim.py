@@ -11,11 +11,12 @@ __all__ = ["SGD", "Adam", "clip_grad_norm"]
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Clip the global gradient norm in place; returns the pre-clip norm."""
+    # Sums of squares, not np.dot: a threaded BLAS ddot is slow after small
+    # GEMMs and its last bits depend on the BLAS thread count.
     total = 0.0
     for param in params:
         if param.grad is not None:
-            flat = param.grad.ravel()
-            total += float(np.dot(flat, flat))
+            total += float(np.square(param.grad.ravel()).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm > 0:
         scale = max_norm / (norm + 1e-12)
@@ -137,7 +138,9 @@ class Adam(Optimizer):
             for grad, (start, stop) in zip(grads, self._slices):
                 flat_grad[start:stop] = grad.ravel()
             if grad_clip is not None:
-                norm = float(np.sqrt(np.dot(flat_grad, flat_grad)))
+                # Not np.dot, as in clip_grad_norm.
+                squares = np.multiply(flat_grad, flat_grad, out=self._scratch)
+                norm = float(np.sqrt(squares.sum()))
                 if norm > grad_clip > 0:
                     flat_grad *= grad_clip / (norm + 1e-12)
             if self.weight_decay:

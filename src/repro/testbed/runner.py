@@ -6,6 +6,14 @@ candidate CE models — data-driven ones from join samples, query-driven ones
 from encoded training queries — and (4) measure per-model mean Q-error and
 mean inference latency on the testing queries, yielding the dataset's
 :class:`~repro.testbed.scores.DatasetLabel`.
+
+Which changes keep labels neutral: a label's scores come from each model's
+Q-error (its estimates) and its inference latency (timed ``estimate()``
+calls).  A fit-side change that leaves the fitted model bit-identical, such
+as a faster split search or histogram count, moves only ``fit_times``,
+which the label records but never scores, so labels stay put.  Any change
+to an ``estimate()`` path, even one with identical estimates, moves the
+latencies and with them the efficiency half of every label.
 """
 
 from __future__ import annotations
