@@ -18,11 +18,12 @@ from .schema import Dataset
 from .table import PK_COLUMN
 
 
-def _group_index(fk_values: np.ndarray, parent_rows: int):
+def fk_groups(fk_values: np.ndarray, parent_rows: int):
     """Precompute child-row groups per parent key value.
 
     Returns ``(order, starts)`` such that ``order[starts[v]:starts[v+1]]`` are
-    the child row indices whose FK equals ``v``.
+    the child row indices whose FK equals ``v``, in ascending row order (the
+    sort is stable).  Shared by join sampling and the plan executor.
     """
     order = np.argsort(fk_values, kind="stable")
     counts = np.bincount(fk_values, minlength=parent_rows)
@@ -71,7 +72,7 @@ def materialize_join(dataset: Dataset, tables: tuple[str, ...],
                 # row referencing its parent key.
                 parent = dataset[fk.parent]
                 child = dataset[fk.child]
-                order, starts = _group_index(child[fk.fk_column], parent.num_rows)
+                order, starts = fk_groups(child[fk.fk_column], parent.num_rows)
                 parent_keys = parent[PK_COLUMN][result[fk.parent]]
                 fanouts = starts[parent_keys + 1] - starts[parent_keys]
                 total = int(fanouts.sum())

@@ -56,6 +56,11 @@ class Dataset:
                 raise ValueError(f"table {fk.child!r} lacks column {fk.fk_column!r}")
             if PK_COLUMN not in parent:
                 raise ValueError(f"table {fk.parent!r} lacks a primary key")
+            # Joins address parent rows by key (pk value == row index).
+            if not np.array_equal(parent[PK_COLUMN], np.arange(parent.num_rows)):
+                raise ValueError(
+                    f"table {fk.parent!r} primary key must hold 0 .. "
+                    f"{parent.num_rows - 1} in row order")
             fk_values = child[fk.fk_column]
             if fk_values.min(initial=0) < 0 or fk_values.max(initial=0) >= parent.num_rows:
                 raise ValueError(

@@ -3,7 +3,8 @@
 This is the storage substrate standing in for PostgreSQL: every dataset in
 the reproduction is a set of integer-valued columnar tables connected by
 PK–FK joins.  Primary-key columns always hold the values ``0 .. n-1`` (value
-== row position), which makes PK lookups O(1) array indexing throughout the
+== row position; :class:`~repro.db.schema.Dataset` rejects an FK parent whose
+key breaks this), which makes PK lookups O(1) array indexing throughout the
 join machinery.
 """
 

@@ -5,6 +5,21 @@ build/probe phases, index nested-loop joins via direct PK addressing, and
 sequential vs sorted-index scans — so that plans with smaller intermediate
 results genuinely run faster.  This is the causal link Table V relies on:
 better cardinalities → better join orders/operators → lower wall-clock.
+
+Both join kernels rest on the dense-key invariant that
+:class:`~repro.db.schema.Dataset` checks for every FK parent: the ``pk``
+column holds ``0 .. n-1``, so a key value *is* a row index.
+
+* FK → PK (the left side holds the FK): a semi-join probe.  The right
+  scan's rows are set in a boolean bitmap over the parent table, and each
+  left row's FK value indexes that bitmap.
+* PK → FK (the left side holds the parent): a grouped fan-out.  The child's
+  rows grouped by FK value (:func:`~repro.db.sampling.fk_groups`) are built
+  once per ``(child, fk_column)`` and cached; a right scan with predicates
+  filters the cached groups through a bitmap of its rows.
+
+Within an FK group, child rows come out in ascending row order, so every
+join returns the same int64 row arrays a sort-and-search join would.
 """
 
 from __future__ import annotations
@@ -14,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..db.schema import Dataset
-from ..db.table import PK_COLUMN
+from ..db.sampling import fk_groups
+from ..db.schema import Dataset, ForeignKey
 from .plans import JoinNode, PlanNode, ScanNode
 
 
@@ -26,11 +41,13 @@ class ExecutionResult:
 
 
 class Executor:
-    """Executes physical plans; keeps per-column sorted indexes lazily."""
+    """Executes physical plans; keeps per-column sorted indexes and
+    per-FK child groups lazily."""
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self._sorted: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._groups: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def _sorted_index(self, table: str, column: str):
@@ -40,6 +57,13 @@ class Executor:
             order = np.argsort(values, kind="stable")
             self._sorted[key] = (values[order], order)
         return self._sorted[key]
+
+    def _fk_groups(self, fk: ForeignKey):
+        key = (fk.child, fk.fk_column)
+        if key not in self._groups:
+            self._groups[key] = fk_groups(self.dataset[fk.child][fk.fk_column],
+                                          self.dataset[fk.parent].num_rows)
+        return self._groups[key]
 
     def _scan(self, node: ScanNode) -> np.ndarray:
         table = self.dataset[node.table]
@@ -78,34 +102,34 @@ class Executor:
                 result = {name: rows for name, rows in left.items()}
                 result[fk.parent] = fk_values
                 return result
-            # Hash join: membership probe against the (sorted, unique)
-            # parent row set — work scales with the actual input sizes.
-            if len(right_rows) == 0:
-                keep = np.zeros(len(fk_values), dtype=bool)
-            else:
-                positions = np.searchsorted(right_rows, fk_values)
-                positions = np.minimum(positions, len(right_rows) - 1)
-                keep = right_rows[positions] == fk_values
+            # Hash join: semi-join probe of every FK value against a bitmap
+            # of the parent rows the right scan kept.
+            member = np.zeros(self.dataset[fk.parent].num_rows, dtype=bool)
+            member[right_rows] = True
+            keep = member[fk_values]
             result = {name: rows[keep] for name, rows in left.items()}
             result[fk.parent] = fk_values[keep]
             return result
 
         # Left holds the parent (PK side); new table is the child (FK side).
-        child = self.dataset[fk.child]
-        fk_values = child[fk.fk_column][right_rows]
-        order = np.argsort(fk_values, kind="stable")
-        sorted_fk = fk_values[order]
-        parent_keys = self.dataset[fk.parent][PK_COLUMN][left[fk.parent]]
-        starts = np.searchsorted(sorted_fk, parent_keys, side="left")
-        stops = np.searchsorted(sorted_fk, parent_keys, side="right")
-        fanouts = stops - starts
+        # order[starts[k]:starts[k + 1]] are the child rows with FK == k.
+        order, starts = self._fk_groups(fk)
+        if node.right.predicates:
+            # Keep only the scanned child rows; the groups stay ordered.
+            member = np.zeros(self.dataset[fk.child].num_rows, dtype=bool)
+            member[right_rows] = True
+            order = order[member[order]]
+            counts = np.bincount(self.dataset[fk.child][fk.fk_column][order],
+                                 minlength=len(starts) - 1)
+            starts = np.concatenate(([0], np.cumsum(counts)))
+        parent_keys = left[fk.parent]  # pk value == row index
+        fanouts = starts[parent_keys + 1] - starts[parent_keys]
         total = int(fanouts.sum())
         keep = np.repeat(np.arange(len(parent_keys)), fanouts)
         offsets = np.concatenate(([0], np.cumsum(fanouts)))[:-1]
         within = np.arange(total) - np.repeat(offsets, fanouts)
-        child_positions = order[np.repeat(starts, fanouts) + within]
         result = {name: rows[keep] for name, rows in left.items()}
-        result[fk.child] = right_rows[child_positions]
+        result[fk.child] = order[np.repeat(starts[parent_keys], fanouts) + within]
         return result
 
     # ------------------------------------------------------------------

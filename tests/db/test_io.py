@@ -82,3 +82,14 @@ class TestErrors:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError, match="format version"):
             load_dataset(path)
+
+    def test_permuted_parent_pk_rejected_on_load(self, tmp_path):
+        """A file whose parent pk is not 0..n-1 would join the wrong rows."""
+        path = str(tmp_path / "ds.npz")
+        save_dataset(small_dataset(), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["parent__pk"] = arrays["parent__pk"][::-1].copy()
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="'parent' primary key"):
+            load_dataset(path)

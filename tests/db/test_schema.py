@@ -41,6 +41,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="primary key"):
             Dataset("d", [a, b], [ForeignKey("b", "fk_a", "a")])
 
+    @pytest.mark.parametrize("pk", [
+        np.array([1, 0, 2]),      # permuted
+        np.array([0, 1, 1]),      # duplicate key
+        np.array([1, 2, 3]),      # offset
+    ])
+    def test_non_dense_parent_pk_rejected(self, pk):
+        """Joins address parent rows by key, so pk must equal row index."""
+        a = Table("a", {PK_COLUMN: pk, "col0": np.arange(3)})
+        b = Table("b", {"fk_a": np.array([0, 2]), "col0": np.arange(2)})
+        with pytest.raises(ValueError, match="'a' primary key"):
+            Dataset("d", [a, b], [ForeignKey("b", "fk_a", "a")])
+
+    def test_pk_checked_only_on_fk_parents(self):
+        a = Table("a", {PK_COLUMN: np.array([2, 0, 1]), "col0": np.arange(3)})
+        assert Dataset("d", [a], []).num_tables == 1
+
     def test_duplicate_table_names_rejected(self):
         a = Table("a", {"col0": np.arange(2)})
         with pytest.raises(ValueError, match="duplicate"):
