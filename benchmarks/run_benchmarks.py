@@ -9,19 +9,12 @@ three advisor stages the perf PR targets:
   corpus tensor cache (``GraphTensorBatcher``), one epoch at batch_size=32;
 * ``recommend_batch``   — 100 sequential ``recommend`` calls (embedding
   cache off) vs one ``recommend_batch`` over repeat traffic;
-* ``ann_search``        — exact ``[Q, N]`` Gram-identity KNN vs the
-  multi-probe LSH ``ANNIndex`` on a CardBench-scale (8192-member)
-  family-structured RCS, with recall@k against the exact result;
 * ``persistent_cache``  — a serving node killed and reloaded from
   ``load_advisor``: first repeat query must come from the disk tier of the
   embedding cache with **zero** GIN forwards;
 * ``float32_epoch``     — the float64 fast path vs the float32 precision
   tier: one DML epoch (tensor cache + fused GIN/loss/Adam at each dtype)
   and batched serving, with the recommendation agreement between tiers;
-* ``e2lsh_search``      — exact float32 scan vs the quantized-projection
-  ``E2LSHIndex`` on a cluster-free 8192-member RCS (no family structure:
-  the corpus where the sign hash stops pruning), with recall@k and the
-  sign hash's pool fraction for reference;
 * ``quantized_search``  — the int8 candidate tier: exact float32 scan vs
   the ``QuantizedStore`` candidate pass (int32-accumulated code distances,
   top ``k·overfetch`` kept, float re-rank) on GIN embeddings of the
@@ -78,8 +71,8 @@ from repro.utils.rng import rng_from_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_e2e_loop import bench_e2e_loop  # noqa: E402
-from synth import (MODELS, cluster_free_embeddings, family_corpus,  # noqa: E402
-                   synthetic_corpus, wide_family_embeddings)
+from synth import (MODELS, family_corpus, synthetic_corpus,  # noqa: E402
+                   wide_family_embeddings)
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -300,38 +293,6 @@ def bench_recommend_batch(repeats: int) -> dict:
             "before_s": before, "after_s": after, "speedup": before / after}
 
 
-def bench_ann_search(repeats: int, rcs_size: int = 8192,
-                     num_queries: int = 512, k: int = 5) -> dict:
-    """Exact vs ANN KNN serving on a CardBench-scale family corpus.
-
-    Embeddings come from a real GIN encoder over a family-structured corpus
-    (the regime large labeled corpora live in); recall@k is measured against
-    the exact ``top_k_neighbors`` result on the same queries.
-    """
-    from repro.core.predictor import ANNConfig, ANNIndex, exact_search
-
-    graphs, _ = family_corpus(rcs_size + num_queries, seed=0)
-    encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
-                         embedding_dim=32, seed=0)
-    embeddings = encoder.embed(graphs)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    index = ANNIndex(ANNConfig(seed=0))
-    index.rebuild(members)
-    index.search(queries, members, k)          # warm: lazy bucket sort
-    before, after = interleaved_best(
-        lambda: exact_search(queries, members, k),
-        lambda: index.search(queries, members, k), repeats)
-
-    exact_idx, _ = exact_search(queries, members, k)
-    ann_idx, _ = index.search(queries, members, k)
-    recall = float(np.mean([
-        len(set(a) & set(e)) / k for a, e in zip(ann_idx, exact_idx)]))
-    return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
-            "recall_at_k": recall, "before_s": before, "after_s": after,
-            "speedup": before / after}
-
-
 def bench_float32_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
     """The float32 precision tier vs the float64 fast path.
 
@@ -390,49 +351,6 @@ def bench_float32_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
             "recommendation_agreement": agreement}
 
 
-def bench_e2lsh_search(repeats: int, rcs_size: int = 8192,
-                       num_queries: int = 512, k: int = 5) -> dict:
-    """Exact float32 scan vs the quantized-projection E2LSH index on a
-    cluster-free RCS (uniform low-intrinsic-dimension embedding cloud — no
-    family structure for sign buckets to exploit).
-
-    Also records what the sign hash does on the same corpus (the fraction
-    of the corpus its average candidate pool still touches — the recall
-    probe's degradation signal) and that :func:`select_neighbor_index`
-    picks the E2LSH index here.
-    """
-    from repro.core.predictor import (ANNConfig, ANNIndex, E2LSHConfig,
-                                      E2LSHIndex, exact_search,
-                                      select_neighbor_index)
-
-    embeddings = cluster_free_embeddings(rcs_size + num_queries, seed=0)
-    members, queries = embeddings[:rcs_size], embeddings[rcs_size:]
-
-    index = E2LSHIndex(E2LSHConfig(seed=0))
-    index.rebuild(members)
-    index.search(queries, members, k)          # warm: lazy bucket sort
-    before, after = interleaved_best(
-        lambda: exact_search(queries, members, k),
-        lambda: index.search(queries, members, k), repeats)
-
-    exact_idx, _ = exact_search(queries, members, k)
-    e2lsh_idx, _ = index.search(queries, members, k)
-    recall = float(np.mean([
-        len(set(a) & set(e)) / k for a, e in zip(e2lsh_idx, exact_idx)]))
-
-    sign = ANNIndex(ANNConfig(seed=0))
-    sign.rebuild(members)
-    sign.search(queries, members, k)
-    selected = type(select_neighbor_index(members, ANNConfig(seed=0))).__name__
-    return {"rcs_size": rcs_size, "queries": num_queries, "k": k,
-            "intrinsic_dim": 4, "dtype": "float32",
-            "recall_at_k": recall, "before_s": before, "after_s": after,
-            "speedup": before / after,
-            "e2lsh_fallback_fraction": index.last_fallback_fraction,
-            "sign_hash_pool_fraction": sign.last_pool_fraction,
-            "probe_selects": selected}
-
-
 def bench_quantized_search(repeats: int, rcs_size: int = 8192,
                            num_queries: int = 512, k: int = 5) -> dict:
     """The int8 candidate tier vs the exact float32 scan.
@@ -446,8 +364,8 @@ def bench_quantized_search(repeats: int, rcs_size: int = 8192,
     a float64-trained advisor with ``serving_dtype="float32"`` and the int8
     tier enabled must produce the float64 reference recommendations.
     """
-    from repro.core.predictor import (QuantizationConfig, QuantizedStore,
-                                      exact_search)
+    from repro.core.serving import (QuantizationConfig, QuantizedStore,
+                                    exact_search)
 
     graphs, _ = family_corpus(rcs_size + num_queries, seed=0)
     encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
@@ -509,8 +427,8 @@ def bench_pq_search(repeats: int, rcs_size: int = 8192,
     candidates are re-ranked in float32.  Recall@k is measured against the
     exact scan for both the plain and the residual-refined codebooks.
     """
-    from repro.core.predictor import (PQStore, QuantizationConfig,
-                                      exact_search, select_quantizer)
+    from repro.core.serving import (PQStore, QuantizationConfig,
+                                    exact_search, select_quantizer)
 
     embeddings = wide_family_embeddings(rcs_size + num_queries, dim=dim,
                                         seed=0)
@@ -618,8 +536,8 @@ def bench_ivf_search(repeats: int, rcs_size: int = 8192,
     is measured against ``exact_search`` on the same queries.
     """
     from repro.core.ivf import IVFStore
-    from repro.core.predictor import (PQStore, QuantizationConfig,
-                                      QuantizedStore, exact_search)
+    from repro.core.serving import (PQStore, QuantizationConfig,
+                                    QuantizedStore, exact_search)
 
     graphs, _ = family_corpus(rcs_size + num_queries, seed=0)
     encoder = GINEncoder(graphs[0].vertex_dim, hidden_dim=64,
@@ -684,8 +602,8 @@ def bench_restart_warm(repeats: int, tmp_root: Path | None = None) -> dict:
 
     import repro.core.serving.quantizers as quantizers_module
     from repro.core.graph import FeatureGraph
-    from repro.core.predictor import (QuantizationConfig,
-                                      RecommendationCandidateSet)
+    from repro.core.serving import (QuantizationConfig,
+                                    RecommendationCandidateSet)
     from repro.core.persistence import load_advisor, save_advisor
     from repro.testbed.scores import ScoreLabel
 
@@ -694,11 +612,9 @@ def bench_restart_warm(repeats: int, tmp_root: Path | None = None) -> dict:
                                min_size=8, ivf_min_size=8)
 
     def build_advisor(n: int) -> AutoCE:
-        # ann=None keeps the neighbor index out of the load path, so the
-        # cold/warm delta isolates the quantizer attach cost.
         advisor = AutoCE(AutoCEConfig(
             hidden_dim=8, embedding_dim=dim, use_incremental=False,
-            ann=None, quantization=quant, seed=0))
+            quantization=quant, seed=0))
         advisor.encoder = GINEncoder(vertex_dim, hidden_dim=8,
                                      embedding_dim=dim, seed=0)
         rows = wide_family_embeddings(n, dim=dim, seed=0)
@@ -835,10 +751,8 @@ BENCHES = {
     "featurize_corpus": bench_featurize,
     "dml_epoch": bench_dml_epoch,
     "recommend_batch": bench_recommend_batch,
-    "ann_search": bench_ann_search,
     "persistent_cache": bench_persistent_cache,
     "float32_epoch": bench_float32_epoch,
-    "e2lsh_search": bench_e2lsh_search,
     "quantized_search": bench_quantized_search,
     "pq_search": bench_pq_search,
     "ivf_search": bench_ivf_search,

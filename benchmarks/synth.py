@@ -35,23 +35,6 @@ def synthetic_corpus(n: int, dim: int = 57, seed: int = 0):
     return graphs, labels
 
 
-def cluster_free_embeddings(n: int, intrinsic_dim: int = 4,
-                            ambient_dim: int = 32, seed: int = 0,
-                            dtype=np.float32) -> np.ndarray:
-    """A cluster-free RCS embedding matrix: no family structure at all.
-
-    Points are uniform over a low-intrinsic-dimension box rotated into the
-    ambient embedding space — the regime real GIN embedding clouds occupy
-    (a few directions carry almost all variance) when the labeled corpus
-    has no tenant/family structure for the sign-hash LSH to bucket.  This
-    is the workload of the ``e2lsh_search`` bench.
-    """
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(-1.0, 1.0, size=(n, intrinsic_dim))
-    rotation, _ = np.linalg.qr(rng.normal(size=(ambient_dim, ambient_dim)))
-    return (base @ rotation[:intrinsic_dim, :]).astype(dtype)
-
-
 def family_corpus(n: int, families: int = 256, dim: int = 57,
                   noise: float = 0.15, seed: int = 0):
     """A CardBench-style labeled corpus of schema *families*.
@@ -60,9 +43,8 @@ def family_corpus(n: int, families: int = 256, dim: int = 57,
     datasets (tenants running variations of the same schema; snapshots of
     one database over time).  Each family here is a base feature graph whose
     members perturb the base column statistics by ``noise``; members of one
-    family share a label up to noise as well.  This is the workload regime
-    where approximate KNN pays off — and it is what the ANN serving bench
-    measures recall/speedup on.
+    family share a label up to noise as well.  The quantized and IVF
+    serving benches measure recall and speed on it.
     """
     rng = np.random.default_rng(seed)
     graphs, labels = [], []

@@ -60,9 +60,7 @@ def main() -> None:
     # Scale-out serving: ship the trained advisor to cheap, restartable
     # serving nodes.  With a persistent cache directory configured, every
     # embedding is write-through to disk, so a node restarted from
-    # load_advisor() serves repeat traffic without a single GIN forward —
-    # and once the RCS reaches AutoCEConfig().ann.threshold members, the
-    # KNN search switches to the multi-probe LSH index automatically.
+    # load_advisor() serves repeat traffic without a single GIN forward.
     # The same workflow from a shell:
     #
     #   python -m repro train --corpus 60 --fast --out advisor.npz

@@ -17,8 +17,8 @@ Wires the library's offline/online workflow into five commands:
 ``serve``
     Batch-serve recommendations for many datasets from one advisor — the
     scale-out serving path: parallel featurization, a persistent embedding
-    cache that survives process restarts, and (above the configured RCS
-    threshold) approximate KNN.
+    cache that survives process restarts, and optional quantized or
+    sharded search.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
@@ -150,9 +150,39 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What a missing, truncated or malformed dataset file raises on load.
+_DATASET_ERRORS = (OSError, ValueError, KeyError, EOFError,
+                   zipfile.BadZipFile)
+
+
+def _cli_error(message: str) -> int:
+    """Readable user-facing failure: one stderr line, exit code 2."""
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return 2
+
+
+def _request_error(args: argparse.Namespace) -> str | None:
+    """Why ``--weight`` / ``--k`` cannot be served (None = they can)."""
+    if not 0.0 <= args.weight <= 1.0:
+        return f"--weight must be in [0, 1] (got {args.weight})"
+    if args.k is not None and args.k < 1:
+        return f"--k must be >= 1 (got {args.k})"
+    return None
+
+
 def cmd_recommend(args: argparse.Namespace) -> int:
-    advisor = load_advisor(args.advisor)
-    dataset = load_dataset(args.dataset)
+    problem = _request_error(args)
+    if problem is not None:
+        return _cli_error(problem)
+    try:
+        advisor = load_advisor(args.advisor)
+    except AdvisorLoadError as error:
+        return _cli_error(str(error))
+    try:
+        dataset = load_dataset(args.dataset)
+    except _DATASET_ERRORS as error:
+        return _cli_error(f"cannot load dataset {args.dataset!r}: "
+                          f"{type(error).__name__}: {error}")
     if advisor.is_drifted(dataset):
         print("warning: dataset looks out-of-distribution for this advisor "
               "(drift detected); consider online adaptation", file=sys.stderr)
@@ -166,20 +196,17 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_error(message: str) -> int:
-    """Readable operator-facing failure: one stderr line, exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     if not args.datasets and not args.daemon:
-        return _serve_error("no datasets given (pass dataset files, or "
-                            "--daemon to read paths from stdin)")
+        return _cli_error("no datasets given (pass dataset files, or "
+                          "--daemon to read paths from stdin)")
+    problem = _request_error(args)
+    if problem is not None:
+        return _cli_error(problem)
     try:
         advisor = load_advisor(args.advisor)
     except AdvisorLoadError as error:
-        return _serve_error(str(error))
+        return _cli_error(str(error))
     if args.cache_dir:
         # Fail fast with a readable message when the cache directory cannot
         # be used, instead of a traceback mid-serve.
@@ -188,7 +215,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if not os.access(args.cache_dir, os.W_OK | os.X_OK):
                 raise OSError("directory is not writable")
         except OSError as error:
-            return _serve_error(
+            return _cli_error(
                 f"cache dir {args.cache_dir!r} is unusable: {error}")
     if args.dtype:
         # Destructive full-tier cast (weights included); raises on an
@@ -283,16 +310,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for report_line in tier_report:
             print(report_line)
     else:
-        index = advisor.rcs.index
-        kinds = {"ANNIndex": "ANN (sign-hash LSH)",
-                 "E2LSHIndex": "ANN (quantized E2LSH)"}
-        kind = kinds.get(type(index).__name__, "exact") if index else "exact"
         tier = f"{advisor.serving_dtype.name} tier"
         if advisor.config.serving_dtype:
             tier += f" over {advisor.config.dtype} weights"
         if advisor.rcs.quantized is not None:
             tier += f" + {advisor.rcs.quantized.kind} candidates"
-        print(f"neighbor search: {kind} over {len(advisor.rcs)} RCS members "
+        print(f"neighbor search: exact over {len(advisor.rcs)} RCS members "
               f"({tier})")
     return 0
 
@@ -325,8 +348,7 @@ def _serve_requests(args: argparse.Namespace, advisor: AutoCE,
                 continue
             try:
                 datasets.append(load_dataset(path))
-            except (OSError, ValueError, KeyError,
-                    zipfile.BadZipFile) as error:
+            except _DATASET_ERRORS as error:
                 # A missing, truncated or malformed dataset file must not
                 # kill the stream — report it and serve the rest.
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
@@ -508,9 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantize", nargs="?", const="auto", default=None,
                    choices=("auto", "int8", "pq"),
                    help="add the quantized candidate tier: corpus scans "
-                        "and LSH re-rank pools rank compressed codes and "
-                        "re-rank the top k*overfetch candidates in the "
-                        "float serving tier.  Optional layout: 'int8' "
+                        "rank compressed codes and re-rank the top "
+                        "k*overfetch candidates in the float serving "
+                        "tier.  Optional layout: 'int8' "
                         "(flat codes, exact integer arithmetic up to 260 "
                         "dims), 'pq' (product quantization for wider "
                         "embeddings; one byte per ~32 dims, add "

@@ -14,15 +14,12 @@ from .losses import (weighted_contrastive_loss, basic_contrastive_loss,
                      cosine_similarity_matrix, positive_negative_masks,
                      pairwise_distances, pair_weights)
 from .dml import DMLConfig, DMLTrainer
-from .serving import (ANNConfig, ANNIndex, E2LSHConfig, E2LSHIndex,
-                      ExactIndex, INT8_EXACT_MAX_DIM, KNNPredictor,
-                      NeighborIndex, PQStore,
-                      QuantizationConfig, QuantizedStore,
+from .serving import (ExactIndex, INT8_EXACT_MAX_DIM, KNNPredictor,
+                      PQStore, QuantizationConfig, QuantizedStore,
                       Recommendation, RecommendationCandidateSet,
                       candidate_scan, exact_search,
                       quantized_distances_int32_reference,
-                      rerank_candidates, seeded_kmeans,
-                      select_neighbor_index, select_quantizer,
+                      rerank_candidates, seeded_kmeans, select_quantizer,
                       squared_distance_matrix, top_k_neighbors)
 from .incremental import (IncrementalConfig, AugmentationResult,
                           collect_feedback, augment_with_mixup,
@@ -45,12 +42,11 @@ __all__ = [
     "cosine_similarity_matrix", "positive_negative_masks",
     "pairwise_distances", "pair_weights",
     "DMLConfig", "DMLTrainer",
-    "ANNConfig", "ANNIndex", "E2LSHConfig", "E2LSHIndex", "ExactIndex",
-    "KNNPredictor", "NeighborIndex",
+    "ExactIndex", "KNNPredictor",
     "INT8_EXACT_MAX_DIM", "PQStore", "QuantizationConfig", "QuantizedStore",
     "Recommendation", "RecommendationCandidateSet", "candidate_scan",
     "exact_search", "quantized_distances_int32_reference",
-    "rerank_candidates", "seeded_kmeans", "select_neighbor_index",
+    "rerank_candidates", "seeded_kmeans",
     "select_quantizer", "squared_distance_matrix", "top_k_neighbors",
     "IncrementalConfig", "AugmentationResult", "collect_feedback",
     "augment_with_mixup", "incremental_learning",

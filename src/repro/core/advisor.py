@@ -24,12 +24,10 @@ per-query Python overhead::
 
 Scale-out serving
 -----------------
-Three knobs grow the serving path past a single warm process:
+Neighbor search is always the exact ``[Q, N]`` scan
+(:class:`~repro.core.serving.ExactIndex`, member norms cached as the RCS
+grows).  Further knobs grow the serving path past a single warm process:
 
-* **Approximate KNN** — once the RCS crosses ``AutoCEConfig.ann.threshold``
-  members, neighbor search switches from the exact ``[Q, N]`` scan to a
-  multi-probe LSH index (:class:`~repro.core.serving.ANNIndex`) that is
-  maintained incrementally as the RCS grows.
 * **Persistent embedding cache** — both :meth:`recommend` and
   :meth:`recommend_batch` consult an LRU embedding memo-cache keyed by the
   feature graph's content fingerprint (``AutoCEConfig.embedding_cache_size``,
@@ -46,9 +44,9 @@ Three knobs grow the serving path past a single warm process:
   path at a lower tier than the training loop (float32 embeddings over
   float64 encoder weights, no destructive downcast), and
   ``AutoCEConfig.quantization`` adds a quantized candidate tier: corpus
-  scans and the LSH re-rank pools rank compressed codes — flat int8 up to
-  260 dims, product quantization past that (``mode``) — and re-rank the
-  top ``k · overfetch`` candidates in the float tier.
+  scans rank compressed codes — flat int8 up to 260 dims, product
+  quantization past that (``mode``) — and re-rank the top
+  ``k · overfetch`` candidates in the float tier.
 
 ``AutoCEConfig.featurize_sample_rows`` optionally enables the row-sampling
 featurizer sketch for very large tables; the exact featurizer is the
@@ -73,8 +71,8 @@ from .encoder import GINEncoder
 from .graph import DEFAULT_MAX_COLUMNS, FeatureGraph, build_feature_graph
 from .incremental import IncrementalConfig, incremental_learning
 from .online import DriftDetector, OnlineAdapter
-from .serving import (ANNConfig, KNNPredictor, QuantizationConfig,
-                      Recommendation, RecommendationCandidateSet)
+from .serving import (KNNPredictor, QuantizationConfig, Recommendation,
+                      RecommendationCandidateSet)
 
 
 @dataclass
@@ -119,8 +117,6 @@ class AutoCEConfig:
     #: only).  Entries survive process restarts; they are invalidated by a
     #: generation stamp derived from the encoder weights.
     embedding_cache_dir: str | None = None
-    #: Approximate-KNN switch-over policy for CardBench-scale RCSs.
-    ann: ANNConfig = field(default_factory=ANNConfig)
     #: Thread-pool width for featurizing many datasets (1 = serial,
     #: 0 = one worker per CPU).
     featurize_workers: int = 1
@@ -222,7 +218,7 @@ class AutoCE:
         embeddings = np.asarray(self.encoder.embed(self._graphs),
                                 dtype=self.serving_dtype)
         self.rcs = RecommendationCandidateSet(
-            embeddings, list(self._labels), ann=self.config.ann,
+            embeddings, list(self._labels),
             quantization=self.config.quantization)
 
     # ------------------------------------------------------------------
@@ -474,8 +470,7 @@ class AutoCE:
         datasets]`` but orders of magnitude cheaper at high throughput: raw
         datasets are featurized in parallel (``featurize_workers``), cache
         misses are embedded together in a single forward pass, and the KNN
-        search runs one vectorized pass — exact below the ANN threshold, the
-        LSH index above it.
+        search runs one vectorized exact pass.
         """
         self._require_fitted()
         if not datasets:
@@ -500,7 +495,7 @@ class AutoCE:
         adapter.adapt(graph, label, self._graphs, self._labels, self.rcs)
         if self.rcs.embeddings.dtype != self.serving_dtype:
             # Safety net only: the adapter refreshes the RCS on its own
-            # tier, so this recast (a second full index re-probe and int8
+            # tier, so this recast (a second norm rebuild and int8
             # requantization) runs only if the RCS somehow left the
             # configured serving tier.
             self.rcs.replace_embeddings(

@@ -10,22 +10,21 @@ materialized as per-cell *contiguous* blocks, and a query only scans the
 cost from O(N) into O(N/cells · nprobe) plus one [Q, cells] coarse GEMM.
 
 The wrapped store keeps the corpus in its **original member order** and
-stays fully functional: :class:`IVFStore` delegates ``query_context`` /
-``pool_distances`` (the LSH re-rank pool hooks take original-order member
-ids), drift accounting, and — crucially — the whole search whenever
-probing would cover every cell anyway (``nprobe ≥ cells``), the corpus is
-below the IVF floor, or the overfetch pool covers the corpus.  Delegation,
-not recomputation, is what makes the ``nprobe ≥ cells`` edge **bit-for-bit**
-identical to the non-IVF store: code-distance ties straddling the pool
-boundary would otherwise be resolved under a different scan order.
+stays fully functional: :class:`IVFStore` delegates drift accounting and
+— crucially — the whole search whenever probing would cover every cell
+anyway (``nprobe ≥ cells``), the corpus is below the IVF floor, or the
+overfetch pool covers the corpus.  Delegation, not recomputation, is what
+makes the ``nprobe ≥ cells`` edge **bit-for-bit** identical to the non-IVF
+store: code-distance ties straddling the pool boundary would otherwise be
+resolved under a different scan order.
 
 The probed scan mirrors the store kernels exactly: int8 cells run the same
 integer-exact code GEMM over contiguous block slices, PQ cells gather the
 same folded ADC tables; the per-query survivors (``k · overfetch``, pooled
 across the probed cells) are re-ranked in the float tier with the same
-padded Gram-identity + ``top_k_neighbors`` idiom as the bucketed LSH
-re-rank, so returned distances are float-tier exact and ties break by
-lowest member index — the contract every other serving path honors.
+padded Gram-identity + ``top_k_neighbors`` idiom, so returned distances
+are float-tier exact and ties break by lowest member index — the contract
+every other serving path honors.
 
 Determinism: the coarse trainer draws only from ``np.random.default_rng``
 seeded with the quantization config seed, cell assignment ties break by
@@ -163,22 +162,6 @@ class IVFStore:
         self._blocks = None
         self._member_norms = None
         return self.store.add(embedding)
-
-    # -- the LSH-pool hooks (original member order: pure delegation) ------
-    def query_context(self, queries: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray] | list[np.ndarray]:
-        return self.store.query_context(queries)
-
-    def pool_distances(self,
-                       context: (tuple[np.ndarray, np.ndarray]
-                                 | list[np.ndarray]),
-                       rows: np.ndarray,
-                       members: np.ndarray) -> np.ndarray:
-        if isinstance(self.store, QuantizedStore):
-            assert isinstance(context, tuple)
-            return self.store.pool_distances(context, rows, members)
-        assert isinstance(context, list)
-        return self.store.pool_distances(context, rows, members)
 
     # -- cell layout ------------------------------------------------------
     def invalidate_blocks(self) -> None:
@@ -325,10 +308,9 @@ class IVFStore:
         sel_pos = np.take_along_axis(pos, final, axis=1)
         members = members_by_cell[sel_pos]
         valid = np.isfinite(sel_vals)
-        # Valid-first, then ascending member id — the same reorder the LSH
-        # pool narrowing performs, and for the same reason: the padded
-        # re-rank breaks ties by (local) position, which must coincide with
-        # lowest member index.
+        # Valid-first, then ascending member id: the padded re-rank breaks
+        # ties by (local) position, which must coincide with lowest member
+        # index.
         reorder = np.lexsort((members, ~valid), axis=1)
         members = np.take_along_axis(members, reorder, axis=1)
         counts = valid.sum(axis=1)

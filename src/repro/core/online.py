@@ -68,7 +68,7 @@ class OnlineAdapter:
         self.trainer.train(graphs, labels, epochs=self.update_epochs)
         # Refresh the RCS on its *own* precision tier: a mixed-tier node
         # serves (say) float32 embeddings over this float64 training loop,
-        # and replace_embeddings triggers a full index re-probe plus int8
+        # and replace_embeddings triggers a full norm rebuild plus int8
         # requantization — work that must not run once per tier.
         embeddings = np.asarray(self.trainer.encoder.embed(graphs),
                                 dtype=rcs.embeddings.dtype)

@@ -39,9 +39,8 @@ from .dml import DMLConfig, DMLTrainer
 from .encoder import GINEncoder
 from .graph import FeatureGraph
 from .incremental import IncrementalConfig
-from .serving import (ANNConfig, CandidateStore, E2LSHConfig, PQStore,
-                      QuantizationConfig, QuantizedStore,
-                      RecommendationCandidateSet)
+from .serving import (CandidateStore, PQStore, QuantizationConfig,
+                      QuantizedStore, RecommendationCandidateSet)
 
 #: Bump on any change to the on-disk layout.  Version 2 added the optional
 #: quantizer-state block (``quant_*`` arrays + the ``"quantizer"`` metadata
@@ -84,16 +83,13 @@ def _config_from_dict(payload: dict) -> AutoCEConfig:
     payload["dml"] = DMLConfig(**dml)
     payload["incremental"] = IncrementalConfig(**payload["incremental"])
     # Advisors saved before the scale-out serving fields existed load with
-    # the defaults (exact search, in-memory cache only); likewise the
-    # nested E2LSH block and the dtype tier default when absent.
+    # the defaults (in-memory cache only, the dtype tier default).  Saves
+    # from builds with LSH search carry an ``ann`` block (a dict, or null);
+    # search is always exact now, so it is dropped unread.
+    payload.pop("ann", None)
     # `.get(...) is not None`, not `in`: an advisor configured with the
-    # index (or the quantized tier) explicitly off serializes the field as
-    # JSON null, which must round-trip to None rather than crash the load.
-    if payload.get("ann") is not None:
-        ann = dict(payload["ann"])
-        if "e2lsh" in ann:
-            ann["e2lsh"] = E2LSHConfig(**ann["e2lsh"])
-        payload["ann"] = ANNConfig(**ann)
+    # quantized tier explicitly off serializes the field as JSON null,
+    # which must round-trip to None rather than crash the load.
     if payload.get("quantization") is not None:
         payload["quantization"] = QuantizationConfig(
             **payload["quantization"])
@@ -323,7 +319,7 @@ def _load_advisor(path: str) -> AutoCE:
                 quantized_store = _restore_quantizer(
                     embeddings, config.quantization, data, quant_payload)
         advisor.rcs = RecommendationCandidateSet(
-            embeddings, list(advisor._labels), ann=config.ann,
+            embeddings, list(advisor._labels),
             quantization=config.quantization,
             quantized_store=quantized_store)
 

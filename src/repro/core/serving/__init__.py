@@ -1,6 +1,5 @@
-"""The serving package: kernels, quantizer tiers, LSH indexes, the recall
-probe, and the RCS + KNN predictor (the former ``core/predictor.py``
-monolith, split along its tier boundaries).
+"""The serving package: kernels, quantizer tiers, and the RCS + KNN
+predictor over one exact scan.
 
 Layering (no cycles; each module imports only from those above it):
 
@@ -10,16 +9,9 @@ Layering (no cycles; each module imports only from those above it):
 ``quantizers``
     The int8 / PQ candidate tiers, ``seeded_kmeans``,
     :func:`select_quantizer` and :func:`candidate_scan` routing.
-``indexes``
-    The :class:`NeighborIndex` protocol, :class:`ExactIndex`, and the
-    bucketed LSH families (:class:`ANNIndex`, :class:`E2LSHIndex`).
-``probe``
-    :func:`select_neighbor_index`, the sign-hash recall probe.
 ``store``
+    :class:`ExactIndex` (the exact scan with cached member norms),
     :class:`RecommendationCandidateSet` and :class:`KNNPredictor`.
-
-``repro.core.predictor`` remains as a thin re-exporting shim for old
-imports and pickled advisors; new code should import from here.
 """
 
 from .kernels import (_FLOAT_DTYPES, _as_float_matrix, _common_dtype,
@@ -29,10 +21,7 @@ from .quantizers import (INT8_EXACT_MAX_DIM, CandidateStore, PQStore,
                          QuantizationConfig, QuantizedStore, candidate_scan,
                          quantized_distances_int32_reference,
                          rerank_candidates, seeded_kmeans, select_quantizer)
-from .indexes import (ANNConfig, ANNIndex, E2LSHConfig, E2LSHIndex,
-                      ExactIndex, NeighborIndex, _BucketedLSHIndex)
-from .probe import select_neighbor_index
-from .store import (KNNPredictor, Recommendation,
+from .store import (ExactIndex, KNNPredictor, Recommendation,
                     RecommendationCandidateSet)
 
 __all__ = [
@@ -43,8 +32,6 @@ __all__ = [
     "QuantizationConfig", "QuantizedStore", "candidate_scan",
     "quantized_distances_int32_reference", "rerank_candidates",
     "seeded_kmeans", "select_quantizer",
-    "ANNConfig", "ANNIndex", "E2LSHConfig", "E2LSHIndex", "ExactIndex",
-    "NeighborIndex", "_BucketedLSHIndex",
-    "select_neighbor_index",
-    "KNNPredictor", "Recommendation", "RecommendationCandidateSet",
+    "ExactIndex", "KNNPredictor", "Recommendation",
+    "RecommendationCandidateSet",
 ]

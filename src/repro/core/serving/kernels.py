@@ -30,9 +30,9 @@ def require_finite_embeddings(embeddings: np.ndarray,
     """Reject NaN/inf rows before they enter a candidate set.
 
     One non-finite row silently poisons everything calibrated from the
-    corpus — quantizer scales collapse to NaN, LSH projections hash every
-    member to the same bucket, distance ties become unordered — so entry
-    points fail loudly instead, naming the offending rows.
+    corpus — quantizer scales collapse to NaN, distance ties become
+    unordered — so entry points fail loudly instead, naming the offending
+    rows.
     """
     matrix = np.atleast_2d(np.asarray(embeddings))
     finite = np.isfinite(matrix).all(axis=1)
@@ -43,7 +43,7 @@ def require_finite_embeddings(embeddings: np.ndarray,
         raise ValueError(
             f"{context} contain non-finite values in row(s) {shown}{more}; "
             "NaN/inf embeddings would poison quantizer calibration and "
-            "LSH projections")
+            "distance ranking")
 
 
 def _common_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
@@ -71,11 +71,13 @@ def squared_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def top_k_neighbors(distances: np.ndarray, k: int) -> np.ndarray:
     """Top-k nearest indices per row of a [Q, N] distance matrix.
 
-    ``argpartition`` selects the k candidates in O(N), then only those k are
-    sorted.  Distance ties — including ties straddling the k boundary, where
-    ``argpartition`` alone may pick an arbitrary tied member — are broken by
-    lowest index, so the result matches a full ``argsort(kind="stable")[:k]``
-    exactly.
+    ``argpartition`` selects the k + 1 nearest candidates in O(N), then
+    only the first k are sorted.  Distance ties are broken by lowest
+    index, so the result matches a full ``argsort(kind="stable")[:k]``
+    exactly.  A row whose (k + 1)-th value equals the k-th has a tie
+    straddling the boundary, where ``argpartition`` alone may pick an
+    arbitrary tied member; only those rows pay the full-width
+    :func:`_fill_boundary_ties`.
     """
     distances = np.atleast_2d(distances)
     q, n = distances.shape
@@ -84,20 +86,31 @@ def top_k_neighbors(distances: np.ndarray, k: int) -> np.ndarray:
         part = np.broadcast_to(np.arange(n), (q, n))
         order = np.lexsort((part, distances), axis=1)
         return np.take_along_axis(np.ascontiguousarray(part), order, axis=1)
-    part = np.argpartition(distances, k - 1, axis=1)[:, :k]
-    # The k-th smallest value bounds the selection; keep everything strictly
-    # closer and fill the remainder with the lowest-index boundary ties.
-    boundary = np.take_along_axis(distances, part, axis=1).max(
-        axis=1, keepdims=True)
+    part = np.argpartition(distances, k, axis=1)
+    nearest = np.take_along_axis(distances, part[:, :k + 1], axis=1)
+    boundary = nearest[:, :k].max(axis=1)
+    tied = boundary == nearest[:, k]
+    idx = part[:, :k]
+    if tied.any():
+        idx = idx.copy()
+        idx[tied] = _fill_boundary_ties(distances[tied], boundary[tied], k)
+    order = np.lexsort((idx, np.take_along_axis(distances, idx, axis=1)),
+                       axis=1)
+    return np.take_along_axis(idx, order, axis=1)
+
+
+def _fill_boundary_ties(distances: np.ndarray, boundary: np.ndarray,
+                        k: int) -> np.ndarray:
+    """The k nearest indices per row (ascending index, unsorted by
+    distance): everything strictly closer than the row's k-th smallest
+    value ``boundary``, the remainder filled with its lowest-index ties."""
+    boundary = boundary[:, None]
     closer = distances < boundary
     need = k - closer.sum(axis=1)
     ties = distances == boundary
     tie_rank = np.cumsum(ties, axis=1)
     selected = closer | (ties & (tie_rank <= need[:, None]))
-    idx = np.nonzero(selected)[1].reshape(q, k)
-    order = np.lexsort((idx, np.take_along_axis(distances, idx, axis=1)),
-                       axis=1)
-    return np.take_along_axis(idx, order, axis=1)
+    return np.nonzero(selected)[1].reshape(len(distances), k)
 
 
 def exact_search(queries: np.ndarray, embeddings: np.ndarray,

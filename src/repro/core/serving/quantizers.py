@@ -349,30 +349,11 @@ class QuantizedStore:
                 self._gemm_dtype)
         return self._codes_float
 
-    # -- the LSH-pool hooks ----------------------------------------------
     def query_context(self, queries: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-batch query state shared by every pool/scan distance call."""
+        """Per-batch query codes and code norms (shared with the IVF scan)."""
         qcodes = self.quantize(queries).astype(self._gemm_dtype)
         return qcodes, (qcodes * qcodes).sum(axis=1)
-
-    def pool_distances(self, context: tuple[np.ndarray, np.ndarray],
-                       rows: np.ndarray,
-                       members: np.ndarray) -> np.ndarray:
-        """[R, W] code-space distances of padded candidate pools.
-
-        ``members[i, j]`` is a member index in query ``rows[i]``'s pool (pad
-        slots included — the caller masks them afterwards).  Same exact
-        integer arithmetic as :meth:`code_distances`, run as one batched
-        GEMM over the gathered code rows, so the bucketed-LSH re-rank pools
-        select their float-tier candidates from int8 codes instead of
-        paying the full-width float GEMM.
-        """
-        qcodes, query_norms = context
-        gathered = self._codes_gemm()[members]          # [R, W, d]
-        dots = (gathered @ qcodes[rows][:, :, None])[:, :, 0]
-        return (self._norms[members] + query_norms[rows][:, None]
-                - 2.0 * dots)
 
     def search(self, queries: np.ndarray, embeddings: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,9 +365,9 @@ class QuantizedStore:
         tier re-ranks that pool exactly (same tie-breaking as
         :func:`exact_search`, candidates pre-sorted by member index).
 
-        Like the bucketed LSH indexes, the store heals itself when handed
-        an embedding matrix whose length it does not recognize (full
-        recalibration); a same-length geometry change must be announced via
+        The store heals itself when handed an embedding matrix whose
+        length it does not recognize (full recalibration); a same-length
+        geometry change must be announced via
         :meth:`recalibrate` — the RCS hooks do — or candidates are selected
         from stale codes (the float re-rank still prices whatever pool
         comes out, so staleness degrades recall, never distances).
@@ -856,29 +837,6 @@ class PQStore:
                                                         start, stop)
         return out
 
-    def pool_distances(self, context: list[np.ndarray], rows: np.ndarray,
-                       members: np.ndarray) -> np.ndarray:
-        """[R, W] ADC rank surrogates of padded candidate pools.
-
-        Same contract as :meth:`QuantizedStore.pool_distances`: pad slots
-        come back with real values and the caller masks them, so the
-        bucketed-LSH pools select their float-tier candidates from PQ codes
-        without any per-member inner products.
-        """
-        if self._scan_bias is not None:
-            acc = self._scan_bias[members].astype(np.float32, copy=True)
-        else:
-            acc = np.zeros(members.shape, dtype=np.float32)
-        code_sets = [self._codes]
-        if self._residual_codes is not None:
-            code_sets.append(self._residual_codes)
-        for table, codes in zip(context, code_sets):
-            gathered = codes[members].astype(np.int64)       # [R, W, M]
-            sub = table[:, rows]          # one [M, R, K] row-gather per pass
-            for i in range(self._num_subspaces):
-                acc += np.take_along_axis(sub[i], gathered[:, :, i], axis=1)
-        return acc
-
     def _scan_select(self, queries: np.ndarray, pool: int) -> np.ndarray:
         """[Q, pool] ADC-best member indices, selected chunk-locally.
 
@@ -1031,7 +989,7 @@ if TYPE_CHECKING:
 
     #: Any quantized candidate tier; everything downstream of
     #: :func:`select_quantizer` is layout-agnostic (``candidate_scan``,
-    #: the LSH pool narrowing, the RCS requantization hooks).
+    #: the RCS requantization hooks).
     CandidateStore = QuantizedStore | PQStore | IVFStore
 else:
     # Runtime alias kept import-cycle-free: core.ivf imports this module,

@@ -1,11 +1,10 @@
-"""The RCS (Def. 5) and the KNN predictor (Eq. 13) — candidate-scan
-routing over whichever index and quantizer tier the corpus selected.
+"""The RCS (Def. 5) and the KNN predictor (Eq. 13) over one exact scan.
 
-:class:`RecommendationCandidateSet` owns the labeled embeddings, keeps
-the chosen :class:`~repro.core.serving.indexes.NeighborIndex` and
+:class:`RecommendationCandidateSet` owns the labeled embeddings and
+keeps its :class:`ExactIndex` (cached member norms) and the optional
 quantized candidate store size-synced through ``add`` /
-``replace_embeddings``, and :class:`KNNPredictor` averages the k
-nearest labels' score vectors under the user's metric weights.
+``replace_embeddings``; :class:`KNNPredictor` averages the k nearest
+labels' score vectors under the user's metric weights.
 """
 
 from __future__ import annotations
@@ -15,12 +14,72 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ...testbed.scores import ScoreLabel
-from .indexes import ANNConfig, ANNIndex, ExactIndex, NeighborIndex
-from .kernels import (_as_float_matrix, require_finite_embeddings,
-                      squared_distance_matrix)
-from .probe import select_neighbor_index
+from .kernels import (_as_float_matrix, _common_dtype, exact_search,
+                      require_finite_embeddings, squared_distance_matrix,
+                      top_k_neighbors)
 from .quantizers import (CandidateStore, QuantizationConfig,
                          candidate_scan, select_quantizer)
+
+
+class ExactIndex:
+    """The exhaustive Gram-identity scan with cached member norms.
+
+    :meth:`rebuild` and :meth:`add` keep each member's ``‖x‖²`` in the
+    members' precision tier, so a search pays only the query norms, one
+    GEMM and the top-k selection — and returns the bytes
+    :func:`exact_search` would.  Queries meeting the members at another
+    tier (float64 queries over float32 members) take :func:`exact_search`
+    itself, and an attached, size-synced quantized store routes through
+    :func:`candidate_scan`.  Like the stores, the index re-derives its
+    norms when handed a matrix whose length it does not recognize; a
+    same-length change must be announced via :meth:`rebuild`, which the
+    RCS does.
+    """
+
+    def __init__(self) -> None:
+        self._norms = np.zeros(0, dtype=np.float64)
+        self._size = 0
+
+    def rebuild(self, embeddings: np.ndarray) -> None:
+        embeddings = _as_float_matrix(embeddings)
+        self._norms = (embeddings * embeddings).sum(axis=1)
+        self._size = len(embeddings)
+
+    def add(self, embedding: np.ndarray) -> None:
+        row = _as_float_matrix(embedding).reshape(1, -1)
+        if self._size == len(self._norms):
+            grown = np.zeros(max(4, 2 * self._size), dtype=row.dtype)
+            grown[:self._size] = self._norms[:self._size]
+            self._norms = grown
+        self._norms[self._size] = (row * row).sum(axis=1)[0]
+        self._size += 1
+
+    def search(self, queries: np.ndarray, embeddings: np.ndarray,
+               k: int, *, store: CandidateStore | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """([Q, k] neighbor indices, [Q, k] Euclidean distances)."""
+        if store is not None and len(store) == len(embeddings):
+            return candidate_scan(queries, embeddings, k, store)
+        if self._size != len(embeddings):
+            self.rebuild(embeddings)
+        norms = self._norms[:self._size]
+        dtype = _common_dtype(np.asarray(queries), np.asarray(embeddings))
+        if norms.dtype != dtype:
+            return exact_search(queries, embeddings, k)
+        queries = np.atleast_2d(np.asarray(queries, dtype=dtype))
+        members = np.atleast_2d(np.asarray(embeddings, dtype=dtype))
+        # squared_distance_matrix's arithmetic, in place and in its order:
+        # (‖q‖² + ‖x‖²) − 2·q·x, clipped at zero.
+        distances = np.add((queries * queries).sum(axis=1)[:, None],
+                           norms[None, :])
+        cross = queries @ members.T
+        cross *= 2.0
+        distances -= cross
+        np.maximum(distances, 0.0, out=distances)
+        np.sqrt(distances, out=distances)
+        nearest = top_k_neighbors(distances, k)
+        return nearest, np.take_along_axis(distances, nearest, axis=1)
+
 
 @dataclass
 class Recommendation:
@@ -45,16 +104,13 @@ class RecommendationCandidateSet:
     re-allocating the whole matrix per insert.  Score matrices (one per
     accuracy weight) are memoized for the batched KNN.
 
-    Neighbor queries go through :meth:`search`.  Small candidate sets use
-    the exact Gram-identity scan; when an :class:`ANNConfig` is supplied and
-    the membership crosses ``ANNConfig.threshold``, an :class:`ANNIndex` is
-    attached automatically and kept fresh on :meth:`add` (incremental) and
-    :meth:`replace_embeddings` (full re-hash).
+    Neighbor queries go through :meth:`search`: the exact scan of the
+    always-attached :class:`ExactIndex`, over the quantized candidate tier
+    when one is attached.
     """
 
     def __init__(self, embeddings: np.ndarray | None = None,
                  labels: list[ScoreLabel] | None = None,
-                 ann: ANNConfig | None = None,
                  quantization: QuantizationConfig | None = None,
                  quantized_store: "CandidateStore | None" = None) -> None:
         # The buffer keeps the embeddings' precision tier: a float32 corpus
@@ -68,10 +124,8 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache: dict[float, np.ndarray] = {}
-        self.ann_config = ann
-        self._index: NeighborIndex | None = None
-        #: RCS size at the last recall-probe run (see :meth:`add`).
-        self._index_size = 0
+        self._index = ExactIndex()
+        self._index.rebuild(self.embeddings)
         self.quantization = quantization
         self._quantized: CandidateStore | None = None
         #: Value snapshot of the config the attached store was built under
@@ -79,7 +133,6 @@ class RecommendationCandidateSet:
         #: :meth:`AutoCE.set_quantization`; the snapshot is what makes the
         #: no-op check a *value* comparison).
         self._quantized_config: QuantizationConfig | None = None
-        self._sync_index()
         if (quantized_store is not None and quantization is not None
                 and quantization.enabled
                 and len(quantized_store) == self._size):
@@ -99,8 +152,8 @@ class RecommendationCandidateSet:
         return self._buffer[:self._size]
 
     @property
-    def index(self) -> NeighborIndex | None:
-        """The attached neighbor index (None = inline exact search)."""
+    def index(self) -> ExactIndex:
+        """The neighbor index (the exact scan with cached member norms)."""
         return self._index
 
     @property
@@ -115,19 +168,6 @@ class RecommendationCandidateSet:
         if not self.labels:
             raise ValueError("empty RCS")
         return self.labels[0].model_names
-
-    def _sync_index(self) -> None:
-        """Attach a neighbor index once membership crosses the threshold.
-
-        The index family is chosen by the sign-hash recall probe
-        (:func:`select_neighbor_index`): sign-hash LSH when the corpus has
-        cluster structure, the quantized-projection E2LSH otherwise.
-        """
-        config = self.ann_config
-        if (self._index is None and config is not None and config.threshold > 0
-                and self._size >= config.threshold):
-            self._index = select_neighbor_index(self.embeddings, config)
-            self._index_size = self._size
 
     def _sync_quantized(self) -> None:
         """Attach a quantized candidate tier once membership reaches its
@@ -186,24 +226,7 @@ class RecommendationCandidateSet:
         self._size += 1
         self.labels.append(label)
         self._score_cache.clear()
-        if self._index is not None:
-            self._index.add(embedding)
-            # Re-run the recall probe once the corpus has doubled since the
-            # index family was chosen (structural drift — clusters forming
-            # or dissolving — can change the right family; doubling keeps
-            # the re-probe cost amortized O(1) per add), and immediately
-            # when an ExactIndex chosen for a scan-sized degraded corpus
-            # crosses the E2LSH size floor.
-            grown = self._size >= 2 * max(self._index_size, 1)
-            graduates = (isinstance(self._index, ExactIndex)
-                         and self._index_size < self.ann_config.e2lsh_threshold
-                         <= self._size)
-            if grown or graduates:
-                self._index = select_neighbor_index(self.embeddings,
-                                                    self.ann_config)
-                self._index_size = self._size
-        else:
-            self._sync_index()
+        self._index.add(self._buffer[self._size - 1])
         if self._quantized is not None:
             # Requantization hook: the store quantizes the appended row
             # under its frozen calibration and reports drift (clipping /
@@ -217,9 +240,9 @@ class RecommendationCandidateSet:
     def replace_embeddings(self, embeddings: np.ndarray) -> None:
         """Refresh stored embeddings after the encoder is retrained.
 
-        Retraining (or a precision-tier switch) can change the corpus
-        geometry, so the recall probe re-selects the index family rather
-        than blindly re-hashing the previous choice.
+        Retraining (or a precision-tier switch) changes the corpus
+        geometry, so the cached member norms and any quantized codes are
+        rebuilt from the new rows.
         """
         embeddings = _as_float_matrix(embeddings)
         require_finite_embeddings(embeddings, "RCS embeddings")
@@ -228,12 +251,7 @@ class RecommendationCandidateSet:
         self._buffer = np.array(embeddings, dtype=embeddings.dtype)
         self._size = len(embeddings)
         self._score_cache.clear()
-        if self._index is not None:
-            self._index = select_neighbor_index(self.embeddings,
-                                                self.ann_config)
-            self._index_size = self._size
-        else:
-            self._sync_index()
+        self._index.rebuild(self.embeddings)
         if self._quantized is not None:
             # Retrained embeddings land on new geometry; the old calibration
             # is meaningless, so requantize the whole corpus.
@@ -246,9 +264,6 @@ class RecommendationCandidateSet:
         """k nearest members per query: ([Q, k] indices, [Q, k] distances)."""
         queries = _as_float_matrix(queries)
         k = min(k, self._size)
-        if self._index is None:
-            return candidate_scan(queries, self.embeddings, k,
-                                  self._quantized)
         return self._index.search(queries, self.embeddings, k,
                                   store=self._quantized)
 
@@ -271,19 +286,23 @@ class RecommendationCandidateSet:
         return np.sqrt(sq.min(axis=1))
 
 
+def _require_k(k: int) -> int:
+    """``k`` itself when it asks for at least one neighbor."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1 (got k={k})")
+    return k
+
+
 class KNNPredictor:
     """Eq. 13: average the k nearest labels and pick the top ranker.
 
     The paper finds k = 2 optimal (Table IV); that is the default.  Neighbor
-    search is delegated to :meth:`RecommendationCandidateSet.search`, so the
-    predictor transparently uses whichever :class:`NeighborIndex` the RCS
-    has selected (exact below the ANN threshold, LSH above it).
+    search is delegated to :meth:`RecommendationCandidateSet.search`.  A
+    ``k`` at or above the RCS size clamps to it; ``k < 1`` is rejected.
     """
 
     def __init__(self, k: int = 2) -> None:
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
+        self.k = _require_k(k)
 
     def recommend(self, embedding: np.ndarray, rcs: RecommendationCandidateSet,
                   accuracy_weight: float, k: int | None = None) -> Recommendation:
@@ -296,14 +315,14 @@ class KNNPredictor:
                         k: int | None = None) -> list[Recommendation]:
         """Vectorized Eq. 13 for Q queries at once.
 
-        One [Q, N] Gram-identity distance matrix (or one ANN probe pass),
-        one ``argpartition`` per row, and one gather over the memoized score
-        matrix replace Q independent full-sort searches.
+        One [Q, N] Gram-identity distance matrix, one ``argpartition`` per
+        row, and one gather over the memoized score matrix replace Q
+        independent full-sort searches.
         """
+        k = self.k if k is None else _require_k(k)
         if len(rcs) == 0:
             raise ValueError("cannot recommend from an empty RCS")
         embeddings = _as_float_matrix(embeddings)
-        k = k if k is not None else self.k
         k = min(k, len(rcs))
         nearest, neighbor_distances = rcs.search(embeddings, k)   # [Q, k]
         scores = rcs.score_matrix(accuracy_weight)[nearest].mean(axis=1)

@@ -2,8 +2,8 @@
 
 A sharded serving node splits the RCS into ``num_shards`` independent
 slices.  Each slice is owned by one worker process holding its own
-:class:`ShardRuntime` — embeddings, a neighbor index and a quantized
-candidate store selected for *that slice's* size and width, and a
+:class:`ShardRuntime` — embeddings, a quantized candidate store selected
+for *that slice's* size and width, and a
 :class:`~repro.serving.breaker.TierBreaker` walking the slice's tier
 ladder.  The supervisor scatters query embeddings to every shard and
 merges the per-shard top-k with the same lowest-index tie-breaking as the
@@ -24,10 +24,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..core.ivf import IVFStore
-from ..core.serving import (ANNConfig, INT8_EXACT_MAX_DIM,
-                            CandidateStore, QuantizationConfig,
-                            candidate_scan, exact_search,
-                            select_neighbor_index, select_quantizer)
+from ..core.serving import (INT8_EXACT_MAX_DIM, CandidateStore,
+                            QuantizationConfig, candidate_scan, exact_search,
+                            select_quantizer)
 from .breaker import BreakerConfig, ShardHealth, TierBreaker
 
 #: The full tier-degradation ladder, best tier first.  Each shard serves
@@ -102,7 +101,6 @@ class ShardSpec:
     shard_id: int
     global_ids: np.ndarray                 # [n_s] member ids in the full RCS
     embeddings: np.ndarray                 # [n_s, d] the shard's slice
-    ann: ANNConfig | None = None
     quantization: QuantizationConfig | None = None
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: Replay a recall self-probe every this many requests (0 disables).
@@ -114,7 +112,7 @@ class ShardSpec:
 
 
 class ShardRuntime:
-    """One shard's serving state: embeddings, index, tier stores, breaker.
+    """One shard's serving state: embeddings, tier stores, breaker.
 
     The runtime serves global member ids (mapped through the shard's
     ``global_ids``) so the supervisor's merge never sees shard-local
@@ -134,10 +132,6 @@ class ShardRuntime:
         self.ladder = tier_ladder(dim if n else 0, spec.quantization)
         self.breaker = TierBreaker(self.ladder, spec.breaker)
         self._stores: dict[str, CandidateStore] = {}
-        self._index = None
-        ann = spec.ann
-        if (ann is not None and ann.threshold > 0 and n >= ann.threshold):
-            self._index = select_neighbor_index(self.embeddings, ann)
         self.requests_served = 0
         self.last_health = ShardHealth()
         self._rng = np.random.default_rng(spec.seed + 7919 * spec.shard_id)
@@ -204,21 +198,12 @@ class ShardRuntime:
         self.requests_served += 1
         tier = self.breaker.tier
         store = self._store_for(tier)
-        if self._index is not None:
-            local, dist = self._index.search(queries, self.embeddings,
-                                             min(k, n), store=store)
-            fallback = getattr(self._index, "last_fallback_fraction", 0.0)
-        else:
-            local, dist = candidate_scan(queries, self.embeddings,
-                                         min(k, n), store)
-            fallback = 0.0
+        local, dist = candidate_scan(queries, self.embeddings, min(k, n),
+                                     store)
         # Shard slices are frozen after the scatter partition, so the
         # quantizer drift counter (an online-add observable) stays zero
         # here; the breaker still honors it for runtimes that grow.
-        health = ShardHealth(
-            fallback_fraction=fallback,
-            recall_probe=self._maybe_probe(tier, store),
-        )
+        health = ShardHealth(recall_probe=self._maybe_probe(tier, store))
         self.last_health = health
         self.breaker.observe(health)
         return self.global_ids[local], dist

@@ -45,7 +45,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING, Any
 
-from ..core.serving import ANNConfig, QuantizationConfig, Recommendation
+from ..core.serving import QuantizationConfig, Recommendation
 from ..testbed.faults import FaultPlan
 from .breaker import BreakerConfig
 from .sharding import ShardSpec, merge_top_k, partition_members, tier_ladder
@@ -133,7 +133,6 @@ class ShardedServer:
 
     def __init__(self, embeddings: np.ndarray, *, num_shards: int = 2,
                  deadline: float | None = None,
-                 ann: ANNConfig | None = None,
                  quantization: QuantizationConfig | None = None,
                  breaker: BreakerConfig | None = None,
                  retry: RetryPolicy | None = None,
@@ -156,7 +155,7 @@ class ShardedServer:
         breaker = breaker or BreakerConfig()
         self.specs = [
             ShardSpec(shard_id=s, global_ids=ids, embeddings=embeddings[ids],
-                      ann=ann, quantization=quantization, breaker=breaker,
+                      quantization=quantization, breaker=breaker,
                       probe_every=probe_every, seed=seed)
             for s, ids in enumerate(
                 partition_members(self.num_members, self.num_shards))
@@ -187,7 +186,6 @@ class ShardedServer:
         rcs = advisor.rcs
         if rcs is None or len(rcs) == 0:
             raise ValueError("advisor has no fitted RCS to shard")
-        kwargs.setdefault("ann", rcs.ann_config)
         kwargs.setdefault("quantization", rcs.quantization)
         rcs_embeddings = rcs.embeddings
         # Tier-preserving copy: the shards serve at the RCS serving dtype.

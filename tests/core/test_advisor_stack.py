@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig, DMLTrainer
@@ -13,7 +15,7 @@ from repro.core.graph import FeatureGraph
 from repro.core.incremental import (IncrementalConfig, augment_with_mixup,
                                     collect_feedback, incremental_learning)
 from repro.core.online import DriftDetector, OnlineAdapter
-from repro.core.predictor import (KNNPredictor, RecommendationCandidateSet)
+from repro.core.serving import KNNPredictor, RecommendationCandidateSet
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")
@@ -120,6 +122,26 @@ class TestKNNPredictor:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             KNNPredictor(k=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(min_value=-10**6, max_value=10**6))
+    def test_per_call_k_is_validated_or_clamped(self, k):
+        """Every k <= 0 raises a ValueError naming k; k >= N clamps to N."""
+        rng = np.random.default_rng(0)
+        labels = [DatasetLabel(MODELS, rng.uniform(1, 5, 3),
+                               [0.001, 0.002, 0.003]) for _ in range(6)]
+        rcs = RecommendationCandidateSet(rng.normal(size=(6, 4)), labels)
+        query = rng.normal(size=4)
+        predictor = KNNPredictor()
+        if k <= 0:
+            with pytest.raises(ValueError, match="k"):
+                predictor.recommend(query, rcs, 1.0, k=k)
+            with pytest.raises(ValueError, match="k"):
+                predictor.recommend_batch(query[None], rcs, 1.0, k=k)
+            return
+        rec = predictor.recommend(query, rcs, 1.0, k=k)
+        assert len(rec.neighbor_indices) == min(k, 6)
+        assert len(set(rec.neighbor_indices.tolist())) == min(k, 6)
 
     def test_ranking_sorted(self, trained, corpus):
         encoder, _, _ = trained
@@ -240,6 +262,17 @@ class TestAutoCEFacade:
         hits = sum(advisor.recommend(g, 1.0).model == lab.best_model(1.0)
                    for g, lab in zip(graphs, labels))
         assert hits >= len(graphs) * 0.7
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_facade_rejects_non_positive_k(self, corpus, k):
+        graphs, labels = corpus
+        advisor = AutoCE(AutoCEConfig(dml=DMLConfig(epochs=2),
+                                      use_incremental=False))
+        advisor.fit(graphs[:6], labels[:6])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            advisor.recommend(graphs[0], 1.0, k=k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            advisor.recommend_batch(graphs[:2], 1.0, k=k)
 
     def test_unfitted_raises(self, corpus):
         advisor = AutoCE()

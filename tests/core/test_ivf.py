@@ -21,9 +21,9 @@ from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.ivf import IVFStore, auto_cells
 from repro.core.persistence import load_advisor, save_advisor
-from repro.core.predictor import (PQStore, QuantizationConfig,
-                                  QuantizedStore, exact_search,
-                                  select_quantizer)
+from repro.core.serving import (PQStore, QuantizationConfig,
+                                QuantizedStore, exact_search,
+                                select_quantizer)
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")

@@ -1,11 +1,8 @@
 """Metamorphic invariance suite for the serving stack.
 
 One parametrized harness runs every property against all serving paths —
-exact scan, sign-hash LSH, quantized-projection E2LSH, the int8 candidate
-tier, the product-quantization tier, and the LSH families with quantized
-re-rank pools (int8 and PQ codes ranking the padded pools) — via the
-``family`` pin on :class:`ANNConfig` (no probe-dependent selection, so
-each path is exercised deterministically):
+the exact scan, the int8 candidate tier, the product-quantization tier,
+and both IVF-partitioned quantized tiers:
 
 * advisor level: recommendations are invariant under dataset **row
   permutation** (column statistics are order-free), **column permutation**
@@ -13,8 +10,8 @@ each path is exercised deterministically):
   recommendation stable) and **duplicate-query batching** (batched serving
   must agree with itself and with single-query serving);
 * index level: KNN rankings are invariant under a **global embedding
-  translation** (Euclidean distances are translation-free; every index
-  family must preserve that through its own hashing/quantization).
+  translation** (Euclidean distances are translation-free; every tier
+  must preserve that through its own quantization).
 """
 
 from __future__ import annotations
@@ -25,9 +22,8 @@ import pytest
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.ivf import IVFStore
-from repro.core.predictor import (ANNConfig, ANNIndex, E2LSHConfig,
-                                  E2LSHIndex, ExactIndex, PQStore,
-                                  QuantizationConfig, QuantizedStore)
+from repro.core.serving import (ExactIndex, PQStore, QuantizationConfig,
+                                QuantizedStore)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.schema import Dataset
@@ -35,8 +31,7 @@ from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")
-PATHS = ("exact", "sign", "e2lsh", "quantized", "pq", "sign-int8",
-         "e2lsh-int8", "e2lsh-pq", "ivf-int8", "ivf-pq")
+PATHS = ("exact", "quantized", "pq", "ivf-int8", "ivf-pq")
 
 
 # ----------------------------------------------------------------------
@@ -69,28 +64,16 @@ def permute_columns(dataset: Dataset, seed: int) -> Dataset:
 
 
 # ----------------------------------------------------------------------
-# The eight serving paths
+# The five serving paths
 # ----------------------------------------------------------------------
-def sign_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="sign", min_candidates=4,
-                     num_probes=8, seed=0)
-
-
-def e2lsh_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="e2lsh", seed=0,
-                     e2lsh=E2LSHConfig(seed=0, num_tables=12, num_probes=32,
-                                       min_candidates=4))
-
-
-def int8_quant(overfetch: int = 4) -> QuantizationConfig:
+def int8_quant() -> QuantizationConfig:
     return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=overfetch)
+                              overfetch=4)
 
 
-def pq_quant(overfetch: int = 4) -> QuantizationConfig:
+def pq_quant() -> QuantizationConfig:
     return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8,
-                              overfetch=overfetch)
+                              codebook_size=16, min_size=8, overfetch=4)
 
 
 def ivf_int8_quant() -> QuantizationConfig:
@@ -112,36 +95,15 @@ def path_config(path: str) -> AutoCEConfig:
     config = AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
                           use_incremental=False,
                           dml=DMLConfig(epochs=3, batch_size=8), seed=0)
-    if path == "exact":
-        config.ann = ANNConfig(threshold=0)
-    elif path == "sign":
-        config.ann = sign_ann()
-    elif path == "e2lsh":
-        config.ann = e2lsh_ann()
-    elif path == "quantized":
-        config.ann = ANNConfig(threshold=0)
+    if path == "quantized":
         config.quantization = int8_quant()
     elif path == "pq":
-        config.ann = ANNConfig(threshold=0)
         config.quantization = pq_quant()
-    elif path == "sign-int8":
-        # Low overfetch so the padded pools are wide enough for the
-        # code-space narrowing to actually engage on this corpus.
-        config.ann = sign_ann()
-        config.quantization = int8_quant(overfetch=2)
-    elif path == "e2lsh-int8":
-        config.ann = e2lsh_ann()
-        config.quantization = int8_quant(overfetch=2)
-    elif path == "e2lsh-pq":
-        config.ann = e2lsh_ann()
-        config.quantization = pq_quant(overfetch=2)
     elif path == "ivf-int8":
-        config.ann = ANNConfig(threshold=0)
         config.quantization = ivf_int8_quant()
     elif path == "ivf-pq":
-        config.ann = ANNConfig(threshold=0)
         config.quantization = ivf_pq_quant()
-    else:
+    elif path != "exact":
         raise ValueError(path)
     return config
 
@@ -170,17 +132,10 @@ def advisors(corpus):
         advisor.fit(datasets, labels)
         built[path] = advisor
     # Every path must actually run the machinery it names.
-    assert built["exact"].rcs.index is None
-    assert isinstance(built["sign"].rcs.index, ANNIndex)
-    assert isinstance(built["e2lsh"].rcs.index, E2LSHIndex)
+    assert isinstance(built["exact"].rcs.index, ExactIndex)
+    assert built["exact"].rcs.quantized is None
     assert isinstance(built["quantized"].rcs.quantized, QuantizedStore)
     assert isinstance(built["pq"].rcs.quantized, PQStore)
-    assert isinstance(built["sign-int8"].rcs.index, ANNIndex)
-    assert isinstance(built["sign-int8"].rcs.quantized, QuantizedStore)
-    assert isinstance(built["e2lsh-int8"].rcs.index, E2LSHIndex)
-    assert isinstance(built["e2lsh-int8"].rcs.quantized, QuantizedStore)
-    assert isinstance(built["e2lsh-pq"].rcs.index, E2LSHIndex)
-    assert isinstance(built["e2lsh-pq"].rcs.quantized, PQStore)
     assert isinstance(built["ivf-int8"].rcs.quantized, IVFStore)
     assert built["ivf-int8"].rcs.quantized.kind == "ivf-int8"
     assert isinstance(built["ivf-pq"].rcs.quantized, IVFStore)
@@ -256,37 +211,12 @@ def family_cloud(seed: int = 0, families: int = 64, per_family: int = 24,
 
 def make_searcher(path: str, members: np.ndarray):
     store = None
-    if path == "exact":
-        index = ExactIndex()
-    elif path in ("sign", "sign-int8"):
-        index = ANNIndex(ANNConfig(seed=0, num_probes=8))
-        index.rebuild(members)
-        if path == "sign-int8":
-            store = QuantizedStore(members, QuantizationConfig(
-                enabled=True, min_size=16, overfetch=2))
-    elif path in ("e2lsh", "e2lsh-int8", "e2lsh-pq"):
-        # Probe-rich configuration: the lattice offsets realign under a
-        # translation, so invariance requires the walk to recover the exact
-        # top-k on both alignments.
-        index = E2LSHIndex(E2LSHConfig(seed=0, num_tables=16, num_probes=64,
-                                       radius_scale=3.0))
-        index.rebuild(members)
-        if path == "e2lsh-int8":
-            store = QuantizedStore(members, QuantizationConfig(
-                enabled=True, min_size=16, overfetch=2))
-        elif path == "e2lsh-pq":
-            # One dim per subspace: reconstruction error far below the
-            # within-family spacing, so the narrowed pools keep the exact
-            # top-k on both translation alignments.
-            store = PQStore(members, QuantizationConfig(
-                enabled=True, mode="pq", num_subspaces=16, codebook_size=128,
-                min_size=16, overfetch=2))
-    elif path == "quantized":
-        index = ExactIndex()
+    index = ExactIndex()
+    index.rebuild(members)
+    if path == "quantized":
         store = QuantizedStore(members, QuantizationConfig(
             enabled=True, min_size=16, overfetch=8))
     elif path == "pq":
-        index = ExactIndex()
         store = PQStore(members, QuantizationConfig(
             enabled=True, mode="pq", num_subspaces=8, codebook_size=64,
             min_size=16, overfetch=8))
@@ -294,17 +224,15 @@ def make_searcher(path: str, members: np.ndarray):
         # One coarse cell per family, probing 8: the true top-k live in
         # the query's own (certainly probed) cell, so the probed scan
         # keeps the exact ranking on both translation alignments.
-        index = ExactIndex()
         store = IVFStore(members, QuantizationConfig(
             enabled=True, mode="int8", min_size=16, overfetch=8,
             ivf=True, ivf_cells=64, nprobe=8, ivf_min_size=16))
     elif path == "ivf-pq":
-        index = ExactIndex()
         store = IVFStore(members, QuantizationConfig(
             enabled=True, mode="pq", num_subspaces=16, codebook_size=128,
             min_size=16, overfetch=8, ivf=True, ivf_cells=64, nprobe=8,
             ivf_min_size=16))
-    else:
+    elif path != "exact":
         raise ValueError(path)
     return lambda queries, k: index.search(queries, members, k, store=store)
 

@@ -151,6 +151,59 @@ class TestErrors:
         assert a.model == b.model
 
 
+#: ``ann`` blocks as builds with LSH search serialized them: the default
+#: config, a pinned quantized-projection family with its nested block, and
+#: "index off".
+LEGACY_ANN_BLOCKS = {
+    "default": {
+        "threshold": 1024, "num_tables": 8, "num_bits": 0, "num_probes": 4,
+        "min_candidates": 16, "max_candidates": 1024, "bucket_cap": 0,
+        "whiten": True, "family": "auto", "auto_e2lsh": True,
+        "probe_sample": 64, "probe_fallback_threshold": 0.5,
+        "probe_min_recall": 0.85, "probe_max_pool_fraction": 0.05,
+        "e2lsh_threshold": 4096,
+        "e2lsh": {"num_tables": 10, "num_projections": 0, "radius": 0.0,
+                  "radius_scale": 2.4, "calibration_sample": 256,
+                  "calibration_k": 5, "num_probes": 16, "bucket_cap": 128,
+                  "min_candidates": 16, "max_candidates": 2048, "seed": 0},
+        "seed": 0},
+    "e2lsh": {
+        "threshold": 8, "family": "e2lsh", "seed": 0,
+        "e2lsh": {"num_tables": 12, "num_probes": 32, "min_candidates": 4,
+                  "seed": 0}},
+    "null": None,
+}
+
+
+class TestLegacyAnnBlock:
+    """Advisor files from builds with LSH search still load and serve."""
+
+    @pytest.mark.parametrize("block", sorted(LEGACY_ANN_BLOCKS))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_ann_block_is_ignored(self, fitted, tmp_path, version, block):
+        advisor, graphs, _ = fitted
+        plain = str(tmp_path / "plain.npz")
+        legacy = str(tmp_path / "legacy.npz")
+        save_advisor(advisor, plain)
+        with np.load(plain) as data:
+            arrays = {k: data[k] for k in data.files}
+        metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+        assert "ann" not in metadata["config"]
+        metadata["format_version"] = version
+        metadata["config"]["ann"] = LEGACY_ANN_BLOCKS[block]
+        arrays["metadata"] = np.frombuffer(
+            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+        np.savez(legacy, **arrays)
+        want = load_advisor(plain).recommend_batch(graphs, 0.9)
+        got = load_advisor(legacy).recommend_batch(graphs, 0.9)
+        for a, b in zip(got, want):
+            assert a.model == b.model
+            np.testing.assert_array_equal(a.neighbor_indices,
+                                          b.neighbor_indices)
+            assert (a.neighbor_distances.tobytes()
+                    == b.neighbor_distances.tobytes())
+
+
 class TestLabelPayloads:
     def test_score_label_round_trip(self):
         label = ScoreLabel(MODELS, sa=[1.0, 0.5, 0.0], se=[0.0, 0.5, 1.0])

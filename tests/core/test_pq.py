@@ -16,12 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predictor import (ANNConfig, ANNIndex, E2LSHConfig,
-                                  E2LSHIndex, INT8_EXACT_MAX_DIM, PQStore,
-                                  QuantizationConfig, QuantizedStore,
-                                  RecommendationCandidateSet, candidate_scan,
-                                  exact_search, seeded_kmeans,
-                                  select_quantizer)
+from repro.core.serving import (INT8_EXACT_MAX_DIM, PQStore,
+                                QuantizationConfig, QuantizedStore,
+                                RecommendationCandidateSet, candidate_scan,
+                                exact_search, seeded_kmeans,
+                                select_quantizer)
 from repro.testbed.scores import ScoreLabel
 
 SEEDS = range(6)
@@ -360,63 +359,6 @@ class TestOverfetchEdge:
         ei, ed = exact_search(queries, emb, 6)
         np.testing.assert_array_equal(qi, ei)
         np.testing.assert_array_equal(qd, ed)
-
-    def test_lsh_pools_never_duplicate_candidates(self):
-        """Rows whose probed pool is narrower than ``k · overfetch`` keep
-        all their candidates through the code-space narrowing — pad slots
-        must not alias as (duplicate) member 0."""
-        emb = family_cloud(2, families=48, per_family=8, dim=24,
-                           spread=10.0, noise=0.4)
-        store = QuantizedStore(
-            emb, QuantizationConfig(enabled=True, min_size=4, overfetch=2))
-        index = ANNIndex(ANNConfig(seed=0, num_probes=8, min_candidates=4))
-        index.rebuild(emb)
-        queries = emb[::7] + 0.05
-        qi, _ = index.search(queries, emb, 5, store=store)
-        for row in qi:
-            assert len(set(row.tolist())) == 5
-        pq = PQStore(emb, pq_config(num_subspaces=4, codebook_size=16,
-                                    min_size=4, overfetch=2))
-        e2 = E2LSHIndex(E2LSHConfig(seed=0, num_tables=12, num_probes=32,
-                                    min_candidates=4))
-        e2.rebuild(emb)
-        pi, _ = e2.search(queries, emb, 5, store=pq)
-        for row in pi:
-            assert len(set(row.tolist())) == 5
-
-
-class TestLSHPoolNarrowing:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_int8_pools_match_the_float_pools_on_separated_clouds(
-            self, seed):
-        """With quantization error far below the family separation the
-        code-narrowed pools must keep every true neighbor, so the search
-        agrees with the float-pool result bit-for-bit."""
-        emb = family_cloud(seed, families=64, per_family=8, dim=32,
-                           spread=20.0, noise=0.3)
-        store = QuantizedStore(
-            emb, QuantizationConfig(enabled=True, min_size=16, overfetch=4))
-        index = ANNIndex(ANNConfig(seed=0, num_probes=8))
-        index.rebuild(emb)
-        queries = emb[::13] + 0.05
-        with_codes = index.search(queries, emb, 5, store=store)
-        plain = index.search(queries, emb, 5)
-        np.testing.assert_array_equal(with_codes[0], plain[0])
-        np.testing.assert_allclose(with_codes[1], plain[1],
-                                   rtol=1e-9, atol=1e-12)
-
-    def test_pq_pools_match_the_float_pools_on_separated_clouds(self):
-        emb = family_cloud(7, families=64, per_family=8, dim=48,
-                           spread=20.0, noise=0.3)
-        store = PQStore(emb, pq_config(seed=7, overfetch=4))
-        index = E2LSHIndex(E2LSHConfig(seed=0, num_tables=12, num_probes=32))
-        index.rebuild(emb)
-        queries = emb[::13] + 0.05
-        with_codes = index.search(queries, emb, 5, store=store)
-        plain = index.search(queries, emb, 5)
-        np.testing.assert_array_equal(with_codes[0], plain[0])
-        np.testing.assert_allclose(with_codes[1], plain[1],
-                                   rtol=1e-9, atol=1e-12)
 
 
 class TestAdvisorIntegration:

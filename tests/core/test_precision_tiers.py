@@ -13,7 +13,7 @@ from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.persistence import load_advisor, save_advisor
-from repro.core.predictor import QuantizationConfig
+from repro.core.serving import QuantizationConfig
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")

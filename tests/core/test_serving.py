@@ -11,7 +11,8 @@ from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.online import DriftDetector
 from repro.core.persistence import load_advisor, save_advisor
-from repro.core.predictor import ANNConfig, RecommendationCandidateSet
+from repro.core.serving import (ExactIndex, RecommendationCandidateSet,
+                                exact_search)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel
@@ -127,22 +128,17 @@ class TestParallelFeaturize:
         assert all(isinstance(g, FeatureGraph) for g in graphs)
 
 
-class TestAdvisorANNSelection:
-    def test_rcs_carries_advisor_ann_config(self):
-        graphs, labels = tiny_corpus()
-        ann = ANNConfig(threshold=8, min_candidates=64, seed=0)
-        advisor = AutoCE(fast_config(ann=ann))
-        advisor.fit_graphs(graphs, labels)
-        assert advisor.rcs.ann_config is ann
-        assert advisor.rcs.index is not None       # 16 members >= threshold 8
-        rec = advisor.recommend(graphs[0], 0.9)
-        assert rec.model in MODELS
-
-    def test_default_threshold_keeps_small_corpora_exact(self):
+class TestAdvisorExactIndex:
+    def test_rcs_serves_through_the_exact_index(self):
         graphs, labels = tiny_corpus()
         advisor = AutoCE(fast_config())
         advisor.fit_graphs(graphs, labels)
-        assert advisor.rcs.index is None
+        assert isinstance(advisor.rcs.index, ExactIndex)
+        queries = advisor.embed_many(graphs[:4])
+        got = advisor.rcs.search(queries, 3)
+        want = exact_search(queries, advisor.rcs.embeddings, 3)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestDriftDetectorDegenerateRCS:

@@ -2,12 +2,11 @@
 
 ``corpus.npz`` freezes a small labeled corpus and a query set; the JSON
 golden file freezes the top-3 recommendation ranking per query for each
-serving path (exact / sign-hash / E2LSH / int8-quantized / PQ, plus the
-LSH families with quantized re-rank pools and the IVF-partitioned
-quantized tiers).  Any kernel change that
-silently moves a ranking — featurization, the GIN forward, the DML loss,
-a distance kernel, an index probe, a codebook — fails the diff here even
-when every behavioral test still passes.
+serving path (exact / int8-quantized / PQ, plus the IVF-partitioned
+quantized tiers).  Any kernel change that silently moves a ranking —
+featurization, the GIN forward, the DML loss, a distance kernel, an IVF
+probe, a codebook — fails the diff here even when every behavioral test
+still passes.
 
 After an *intentional* ranking change, regenerate with::
 
@@ -29,7 +28,7 @@ import pytest
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
-from repro.core.predictor import (ANNConfig, E2LSHConfig, QuantizationConfig)
+from repro.core.serving import QuantizationConfig
 from repro.testbed.scores import DatasetLabel
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -94,26 +93,14 @@ def load_corpus() -> tuple[list[FeatureGraph], list[DatasetLabel],
     return graphs, labels, queries
 
 
-def _sign_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="sign", min_candidates=4,
-                     num_probes=8, seed=0)
-
-
-def _e2lsh_ann() -> ANNConfig:
-    return ANNConfig(threshold=8, family="e2lsh", seed=0,
-                     e2lsh=E2LSHConfig(seed=0, num_tables=12, num_probes=32,
-                                       min_candidates=4))
-
-
-def _int8_quant(overfetch: int = 4) -> QuantizationConfig:
+def _int8_quant() -> QuantizationConfig:
     return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=overfetch)
+                              overfetch=4)
 
 
-def _pq_quant(overfetch: int = 4) -> QuantizationConfig:
+def _pq_quant() -> QuantizationConfig:
     return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8,
-                              overfetch=overfetch)
+                              codebook_size=16, min_size=8, overfetch=4)
 
 
 def _ivf_int8_quant() -> QuantizationConfig:
@@ -135,42 +122,20 @@ def path_config(path: str) -> AutoCEConfig:
     config = AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
                           use_incremental=False,
                           dml=DMLConfig(epochs=4, batch_size=12), seed=0)
-    if path == "exact":
-        config.ann = ANNConfig(threshold=0)
-    elif path == "sign":
-        config.ann = _sign_ann()
-    elif path == "e2lsh":
-        config.ann = _e2lsh_ann()
-    elif path == "quantized":
-        config.ann = ANNConfig(threshold=0)
+    if path == "quantized":
         config.quantization = _int8_quant()
     elif path == "pq":
-        config.ann = ANNConfig(threshold=0)
         config.quantization = _pq_quant()
-    elif path == "sign-int8":
-        # Overfetch 2 keeps the code-space pool narrowing engaged on the
-        # frozen 48-member corpus (pools must exceed k · overfetch).
-        config.ann = _sign_ann()
-        config.quantization = _int8_quant(overfetch=2)
-    elif path == "e2lsh-int8":
-        config.ann = _e2lsh_ann()
-        config.quantization = _int8_quant(overfetch=2)
-    elif path == "e2lsh-pq":
-        config.ann = _e2lsh_ann()
-        config.quantization = _pq_quant(overfetch=2)
     elif path == "ivf-int8":
-        config.ann = ANNConfig(threshold=0)
         config.quantization = _ivf_int8_quant()
     elif path == "ivf-pq":
-        config.ann = ANNConfig(threshold=0)
         config.quantization = _ivf_pq_quant()
-    else:
+    elif path != "exact":
         raise ValueError(path)
     return config
 
 
-PATHS = ("exact", "sign", "e2lsh", "quantized", "pq", "sign-int8",
-         "e2lsh-int8", "e2lsh-pq", "ivf-int8", "ivf-pq")
+PATHS = ("exact", "quantized", "pq", "ivf-int8", "ivf-pq")
 
 
 def compute_top3(path: str) -> list[list[str]]:
@@ -211,8 +176,10 @@ class TestGoldenRecommendations:
             expected.setdefault("paths", {})[path] = actual
             expected["k"] = TOP
             expected["accuracy_weight"] = WEIGHT
+            # Entries of retired serving paths are dropped on regen.
             expected["paths"] = {p: expected["paths"][p]
-                                 for p in sorted(expected["paths"])}
+                                 for p in sorted(expected["paths"])
+                                 if p in PATHS}
             EXPECTED_FILE.write_text(json.dumps(expected, indent=2,
                                                 sort_keys=True) + "\n")
             pytest.skip(f"regenerated golden top-3 for {path!r}")

@@ -7,7 +7,7 @@ from repro.serving import BreakerConfig, ShardHealth, TierBreaker
 LADDER = ("pq", "int8", "exact")
 
 GOOD = ShardHealth()
-BAD = ShardHealth(fallback_fraction=1.0)
+BAD = ShardHealth(recall_probe=0.0)
 
 
 def make_breaker(**overrides):
@@ -22,7 +22,6 @@ class TestHealthRule:
 
     @pytest.mark.parametrize("health", [
         ShardHealth(errors=1),
-        ShardHealth(fallback_fraction=0.9),
         ShardHealth(recall_probe=0.5),
         ShardHealth(drift_events=5),
     ])

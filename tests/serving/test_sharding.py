@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.predictor import (ANNConfig, QuantizationConfig, exact_search)
+from repro.core.serving import QuantizationConfig, exact_search
 from repro.serving import (BreakerConfig, ShardRuntime, ShardSpec,
                            merge_top_k, partition_members, tier_ladder)
 
@@ -157,9 +157,8 @@ class TestShardRuntime:
         embeddings = make_corpus(n=8)
         spec = ShardSpec(shard_id=2, global_ids=np.arange(8),
                          embeddings=embeddings,
-                         ann=ANNConfig(threshold=4),
                          quantization=QuantizationConfig(enabled=True))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.shard_id == 2
         assert np.array_equal(clone.embeddings, embeddings)
-        assert clone.ann.threshold == 4
+        assert clone.quantization.enabled

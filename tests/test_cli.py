@@ -169,7 +169,7 @@ class TestLabelAndRecommend:
                                                   dataset_file, tmp_path,
                                                   capsys):
         from repro.core.persistence import load_advisor, save_advisor
-        from repro.core.predictor import QuantizationConfig
+        from repro.core.serving import QuantizationConfig
 
         # The shared CLI advisor sits below the default attach floor;
         # lower it so the --ivf knob has a corpus to partition.
@@ -217,6 +217,91 @@ class TestLabelAndRecommend:
         warm = capsys.readouterr().out
         assert "1 hits / 0 misses" in warm
         assert "(1 served from disk)" in warm
+
+
+class TestRecommendUserErrors:
+    """User error on `repro recommend` is one stderr line and exit 2."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        from repro.core.advisor import AutoCE, AutoCEConfig
+        from repro.core.dml import DMLConfig
+        from repro.core.persistence import save_advisor
+        from repro.datagen.multi_table import generate_dataset
+        from repro.datagen.spec import random_spec
+        from repro.testbed.scores import DatasetLabel
+
+        tmp = tmp_path_factory.mktemp("recommend_errors")
+        datasets = [generate_dataset(random_spec(
+            40 + i, ranges={"num_tables": (1, 2)})) for i in range(4)]
+        labels = [DatasetLabel(("A", "B"), [1.0 + i % 2, 2.0 - i % 2],
+                               [0.001, 0.002]) for i in range(4)]
+        advisor = AutoCE(AutoCEConfig(hidden_dim=8, embedding_dim=4,
+                                      use_incremental=False,
+                                      dml=DMLConfig(epochs=1, batch_size=4)))
+        advisor.fit(datasets, labels)
+        advisor_path = str(tmp / "advisor.npz")
+        save_advisor(advisor, advisor_path)
+        dataset_path = str(tmp / "ds.npz")
+        save_dataset(datasets[0], dataset_path)
+        return advisor_path, dataset_path
+
+    @staticmethod
+    def assert_user_error(code, capsys, fragment):
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and fragment in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_valid_request_still_succeeds(self, files, capsys):
+        advisor, dataset = files
+        assert main(["recommend", dataset, "--advisor", advisor,
+                     "--k", "2"]) == 0
+        assert "recommended model:" in capsys.readouterr().out
+
+    def test_missing_advisor(self, files, capsys):
+        code = main(["recommend", files[1], "--advisor",
+                     "/nonexistent/advisor.npz"])
+        self.assert_user_error(code, capsys, "cannot load advisor")
+
+    def test_corrupt_advisor(self, files, tmp_path, capsys):
+        bad = tmp_path / "advisor.npz"
+        bad.write_bytes(b"this is not an npz payload")
+        code = main(["recommend", files[1], "--advisor", str(bad)])
+        self.assert_user_error(code, capsys, "cannot load advisor")
+
+    def test_missing_dataset(self, files, capsys):
+        code = main(["recommend", "/nonexistent/ds.npz",
+                     "--advisor", files[0]])
+        self.assert_user_error(code, capsys, "cannot load dataset")
+
+    @pytest.mark.parametrize("payload", [b"not an npz payload",
+                                         b"PK\x03\x04 torn zip"])
+    def test_corrupt_dataset(self, files, tmp_path, capsys, payload):
+        bad = tmp_path / "ds.npz"
+        bad.write_bytes(payload)
+        code = main(["recommend", str(bad), "--advisor", files[0]])
+        self.assert_user_error(code, capsys, "cannot load dataset")
+
+    def test_dataset_file_without_a_dataset(self, files, capsys):
+        # A valid .npz that is not a dataset (here: the advisor file).
+        code = main(["recommend", files[0], "--advisor", files[0]])
+        self.assert_user_error(code, capsys, "cannot load dataset")
+
+    @pytest.mark.parametrize("weight", ["-0.1", "1.5", "nan"])
+    def test_weight_outside_unit_interval(self, files, capsys, weight):
+        code = main(["recommend", files[1], "--advisor", files[0],
+                     "--weight", weight])
+        self.assert_user_error(code, capsys, "--weight")
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one(self, files, capsys, k):
+        code = main(["recommend", files[1], "--advisor", files[0],
+                     "--k", k])
+        self.assert_user_error(code, capsys, "--k")
 
 
 class TestModels:
