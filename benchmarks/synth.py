@@ -33,54 +33,3 @@ def synthetic_corpus(n: int, dim: int = 57, seed: int = 0):
         labels.append(DatasetLabel(MODELS, rng.uniform(1, 10, 3),
                                    rng.uniform(0.001, 0.01, 3)))
     return graphs, labels
-
-
-def family_corpus(n: int, families: int = 256, dim: int = 57,
-                  noise: float = 0.15, seed: int = 0):
-    """A CardBench-style labeled corpus of schema *families*.
-
-    Large real-world labeled corpora are dominated by families of similar
-    datasets (tenants running variations of the same schema; snapshots of
-    one database over time).  Each family here is a base feature graph whose
-    members perturb the base column statistics by ``noise``; members of one
-    family share a label up to noise as well.  The quantized and IVF
-    serving benches measure recall and speed on it.
-    """
-    rng = np.random.default_rng(seed)
-    graphs, labels = [], []
-    for f in range(families):
-        tables = int(rng.integers(1, 6))
-        base_vertices = rng.normal(size=(tables, dim))
-        base_qerror = rng.uniform(1, 10, len(MODELS))
-        base_latency = rng.uniform(0.001, 0.01, len(MODELS))
-        edges = np.zeros((tables, tables))
-        for t in range(1, tables):
-            edges[t - 1, t] = rng.uniform(0.2, 1.0)
-        members = n // families + (1 if f < n % families else 0)
-        for m in range(members):
-            vertices = base_vertices + noise * rng.normal(size=base_vertices.shape)
-            graphs.append(FeatureGraph(f"family{f}_m{m}", vertices, edges))
-            labels.append(DatasetLabel(
-                MODELS,
-                base_qerror * rng.uniform(0.9, 1.1, len(MODELS)),
-                base_latency * rng.uniform(0.9, 1.1, len(MODELS))))
-    order = rng.permutation(len(graphs))
-    return [graphs[i] for i in order], [labels[i] for i in order]
-
-
-def wide_family_embeddings(n: int, dim: int = 512, families: int = 256,
-                           noise: float = 0.15, seed: int = 0,
-                           dtype=np.float32) -> np.ndarray:
-    """A wide family-structured RCS embedding matrix (d = 512 by default).
-
-    Same family regime as :func:`family_corpus`, but materialized directly
-    in embedding space at a width past the flat-int8 exactness bound
-    (d > 260) — the workload of the ``pq_search`` bench, where
-    ``select_quantizer`` switches the candidate tier to product
-    quantization.
-    """
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(size=(families, dim)) * 4.0
-    assign = rng.integers(0, families, size=n)
-    members = centers[assign] + noise * rng.normal(size=(n, dim))
-    return members.astype(dtype)

@@ -18,7 +18,7 @@ _CTOR_DTYPE_POS = {
 }
 
 #: Modules the rule scopes itself to (paths inside src/repro).
-DEFAULT_SCOPE_FILES = frozenset({"core/ivf.py", "engine/providers.py"})
+DEFAULT_SCOPE_FILES = frozenset({"engine/providers.py"})
 DEFAULT_SCOPE_PREFIXES = ("serving/", "core/serving/")
 
 
@@ -34,7 +34,7 @@ class DtypePromotionRule(Rule):
     title = "implicit float64 promotion in a serving-tier module"
     severity = "warning"
     contract = """\
-In the serving-tier modules (core/serving/*, core/ivf.py, serving/*,
+In the serving-tier modules (core/serving/*, serving/*,
 engine/providers.py — the estimator-provider layer sits on the serving
 path of the optimizer loop) every
 array *constructor* that defaults to float64 — np.array, np.zeros,
@@ -48,9 +48,9 @@ np.zeros_like, ...) are exempt, and an explicit dtype=np.float64 is
 always legal — the contract is about *stated* intent, not about banning
 the reference tier."""
     rationale = """\
-PRs 3-5 built the precision ladder: float32 end-to-end, float32 serving
-over float64 weights, int8/PQ candidate tiers with float re-rank.  The
-agreement and golden matrices pin those paths bit-for-bit, and the bug
+The precision ladder is float32 end-to-end and float32 serving over
+float64 weights.  The agreement and golden matrices pin those paths
+bit-for-bit, and the bug
 class they kept catching by hand was a kernel quietly materializing a
 float64 intermediate inside a float32 path.  An array constructor with
 no dtype is exactly that bug waiting to happen; one with an explicit

@@ -15,19 +15,21 @@ Wires the library's offline/online workflow into five commands:
     Load a trained advisor and a dataset, print the recommended CE model
     and the full ranking — Stage 4.
 ``serve``
-    Batch-serve recommendations for many datasets from one advisor — the
-    scale-out serving path: parallel featurization, a persistent embedding
-    cache that survives process restarts, and optional quantized or
-    sharded search.
+    Batch-serve recommendations for many datasets from one advisor:
+    parallel featurization, a persistent embedding cache that survives
+    process restarts, one exact neighbor scan per batch, and a stdin
+    daemon that coalesces requests into micro-batches.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
 ``check``
-    Run the repo's static-analysis rules (determinism, dtype-tier and
-    fork-safety contracts) over the source tree — see
-    ``docs/static_analysis.md``.
+    Run the repo's static-analysis rules (determinism and dtype-tier
+    contracts) over the source tree — see ``docs/static_analysis.md``.
 
 Every command is importable and unit-testable (:func:`main` takes argv).
+User error (an unreadable input file, an unwritable output path, an
+out-of-range argument) is one ``error: ...`` stderr line and exit code 2,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 import zipfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +93,41 @@ def fast_testbed_config(seed: int = 0) -> TestbedConfig:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
+#: What a missing, truncated or malformed dataset file raises on load.
+_DATASET_ERRORS = (OSError, ValueError, KeyError, EOFError,
+                   zipfile.BadZipFile)
+
+
+def _cli_error(message: str) -> int:
+    """Readable user-facing failure: one stderr line, exit code 2."""
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return 2
+
+
+def _weight_error(weight: float) -> str | None:
+    """Why ``--weight`` cannot be served (None = it can)."""
+    if not 0.0 <= weight <= 1.0:
+        return f"--weight must be in [0, 1] (got {weight})"
+    return None
+
+
+def _request_error(args: argparse.Namespace) -> str | None:
+    """Why ``--weight`` / ``--k`` cannot be served (None = they can)."""
+    problem = _weight_error(args.weight)
+    if problem is None and args.k is not None and args.k < 1:
+        problem = f"--k must be >= 1 (got {args.k})"
+    return problem
+
+
+def _load_dataset_or_error(path: str) -> Dataset | str:
+    """The dataset at ``path``, or the user-facing reason it cannot load."""
+    try:
+        return load_dataset(path)
+    except _DATASET_ERRORS as error:
+        return (f"cannot load dataset {path!r}: "
+                f"{type(error).__name__}: {error}")
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.preset:
         # Presets carry their own canonical seeds; only override when the
@@ -101,7 +136,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         dataset = PRESETS[args.preset](**kwargs)
     else:
         dataset = generate_dataset(random_spec(args.seed or 0))
-    save_dataset(dataset, args.out)
+    try:
+        save_dataset(dataset, args.out)
+    except OSError as error:
+        return _cli_error(f"cannot write {args.out!r}: {error}")
     rows = sum(t.num_rows for t in dataset.tables.values())
     cols = sum(t.num_columns for t in dataset.tables.values())
     print(f"wrote {args.out}: dataset {dataset.name!r} with "
@@ -111,7 +149,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
+    problem = _weight_error(args.weight)
+    if problem is not None:
+        return _cli_error(problem)
+    dataset = _load_dataset_or_error(args.dataset)
+    if isinstance(dataset, str):
+        return _cli_error(dataset)
     config = fast_testbed_config(args.seed) if args.fast else TestbedConfig(seed=args.seed)
     label = run_testbed(dataset, config=config)
     scored = label.with_accuracy_metric(args.metric)
@@ -134,6 +177,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from .experiments.corpus import CorpusConfig, build_corpus
 
+    if args.corpus < 1:
+        return _cli_error(f"--corpus must be >= 1 (got {args.corpus})")
     testbed = fast_testbed_config(args.seed) if args.fast else TestbedConfig(seed=args.seed)
     config = CorpusConfig(num_datasets=args.corpus, base_seed=args.seed,
                           testbed=testbed)
@@ -144,30 +189,13 @@ def cmd_train(args: argparse.Namespace) -> int:
           f"({args.dtype} precision tier) ...")
     advisor = AutoCE(AutoCEConfig(seed=args.seed, dtype=args.dtype))
     advisor.fit([e.graph for e in entries], [e.label for e in entries])
-    save_advisor(advisor, args.out)
+    try:
+        save_advisor(advisor, args.out)
+    except OSError as error:
+        return _cli_error(f"cannot write {args.out!r}: {error}")
     print(f"wrote {args.out}: advisor over {len(entries)} labeled datasets, "
           f"final DML loss {advisor.loss_history[-1]:.4f}")
     return 0
-
-
-#: What a missing, truncated or malformed dataset file raises on load.
-_DATASET_ERRORS = (OSError, ValueError, KeyError, EOFError,
-                   zipfile.BadZipFile)
-
-
-def _cli_error(message: str) -> int:
-    """Readable user-facing failure: one stderr line, exit code 2."""
-    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
-    return 2
-
-
-def _request_error(args: argparse.Namespace) -> str | None:
-    """Why ``--weight`` / ``--k`` cannot be served (None = they can)."""
-    if not 0.0 <= args.weight <= 1.0:
-        return f"--weight must be in [0, 1] (got {args.weight})"
-    if args.k is not None and args.k < 1:
-        return f"--k must be >= 1 (got {args.k})"
-    return None
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
@@ -178,11 +206,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         advisor = load_advisor(args.advisor)
     except AdvisorLoadError as error:
         return _cli_error(str(error))
-    try:
-        dataset = load_dataset(args.dataset)
-    except _DATASET_ERRORS as error:
-        return _cli_error(f"cannot load dataset {args.dataset!r}: "
-                          f"{type(error).__name__}: {error}")
+    dataset = _load_dataset_or_error(args.dataset)
+    if isinstance(dataset, str):
+        return _cli_error(dataset)
     if advisor.is_drifted(dataset):
         print("warning: dataset looks out-of-distribution for this advisor "
               "(drift detected); consider online adaptation", file=sys.stderr)
@@ -203,6 +229,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     problem = _request_error(args)
     if problem is not None:
         return _cli_error(problem)
+    datasets = []
+    for path in args.datasets:
+        dataset = _load_dataset_or_error(path)
+        if isinstance(dataset, str):
+            return _cli_error(dataset)
+        datasets.append(dataset)
     try:
         advisor = load_advisor(args.advisor)
     except AdvisorLoadError as error:
@@ -225,53 +257,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Mixed-tier mode: serving embeddings move to this tier while the
         # encoder keeps its trained precision.
         advisor.set_serving_dtype(args.serving_dtype)
-    if args.ivf is not None or args.nprobe is not None:
-        # IVF knobs ride on the quantization config; --ivf (with an
-        # optional cell count, 0 = auto ~sqrt(N)) turns the coarse
-        # partition on, --nprobe tunes how many cells each query probes.
-        updates: dict[str, object] = {}
-        if args.ivf is not None:
-            updates["ivf"] = True
-            updates["ivf_cells"] = args.ivf
-        if args.nprobe is not None:
-            updates["nprobe"] = args.nprobe
-        advisor.config.quantization = replace(advisor.config.quantization,
-                                              **updates)
-    if args.quantize or args.ivf is not None:
-        # Optional layout pin ("auto" resolves on the embedding width:
-        # flat int8 up to 260 dims, product quantization past that).
-        # --ivf implies the quantized tier — the coarse partition only
-        # exists over code blocks — and without --quantize it keeps the
-        # advisor's saved layout (mode=None leaves it untouched).
-        advisor.set_quantization(True, mode=args.quantize)
     advisor.config.featurize_workers = args.workers
     if args.cache_dir:
         # Write-through disk tier: a restarted node warm-starts from here
         # and skips the GIN forward for every dataset it has served before.
         advisor.config.embedding_cache_dir = args.cache_dir
 
-    server = None
-    if args.shards:
-        from .serving import ShardedServer
-
-        deadline = (args.deadline_ms / 1000.0
-                    if args.deadline_ms is not None else None)
-        server = ShardedServer.from_advisor(
-            advisor, num_shards=args.shards, deadline=deadline)
-    tier_report = []
-    try:
-        served, degraded, latencies = _serve_requests(args, advisor, server)
-    finally:
-        if server is not None:
-            # Snapshot shard status while the workers are still up — a
-            # report taken after stop() would show every shard down.
-            tier_report = server.tier_report()
-            server.stop()
-
-    line = f"served {served} recommendations (w_a = {args.weight})"
-    if degraded:
-        line += f" ({degraded} degraded)"
-    print(line)
+    served = _serve_requests(args, advisor, datasets)
+    print(f"served {served} recommendations (w_a = {args.weight})")
     cache = advisor.embedding_cache
     if cache is not None:
         tier = ("persistent" if args.cache_dir else "in-memory")
@@ -284,122 +277,59 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if failures:
             print(f"degraded storage: {failures} embedding-cache writes "
                   "failed (entries are recomputed instead of persisted)")
-    if server is not None:
-        from .testbed.metrics import summarize_latencies
-
-        # Degraded (partial-coverage) responses return early by design, so
-        # pooling them with healthy ones would drag the percentiles down
-        # and mask a healthy-path regression: report the two populations
-        # separately whenever both exist.
-        healthy = [t for t, was_degraded in latencies if not was_degraded]
-        cut_short = [t for t, was_degraded in latencies if was_degraded]
-
-        def _latency_line(label: str, values: list[float]) -> str:
-            stats = summarize_latencies(values)
-            return (f"latency{label}: p50 {stats['p50'] * 1000:.1f} ms, "
-                    f"p95 {stats['p95'] * 1000:.1f} ms, "
-                    f"p99 {stats['p99'] * 1000:.1f} ms "
-                    f"over {len(values)} requests")
-
-        if cut_short:
-            if healthy:
-                print(_latency_line(" (healthy)", healthy))
-            print(_latency_line(" (degraded)", cut_short))
-        else:
-            print(_latency_line("", healthy))
-        for report_line in tier_report:
-            print(report_line)
-    else:
-        tier = f"{advisor.serving_dtype.name} tier"
-        if advisor.config.serving_dtype:
-            tier += f" over {advisor.config.dtype} weights"
-        if advisor.rcs.quantized is not None:
-            tier += f" + {advisor.rcs.quantized.kind} candidates"
-        print(f"neighbor search: exact over {len(advisor.rcs)} RCS members "
-              f"({tier})")
+    tier = f"{advisor.serving_dtype.name} tier"
+    if advisor.config.serving_dtype:
+        tier += f" over {advisor.config.dtype} weights"
+    print(f"neighbor search: exact over {len(advisor.rcs)} RCS members "
+          f"({tier})")
     return 0
 
 
 def _serve_requests(args: argparse.Namespace, advisor: AutoCE,
-                    server) -> tuple[int, int, list[tuple[float, bool]]]:
-    """Serve the batch (or the stdin stream under ``--daemon``).
+                    datasets: list[Dataset]) -> int:
+    """Serve ``datasets`` as one batch (or the stdin stream under
+    ``--daemon``).
 
-    Returns (recommendations served, degraded responses, per-request
-    ``(latency_seconds, was_degraded)`` samples — one per *request* even
-    when requests were answered by one coalesced batch: the batch elapsed
-    time is attributed evenly and the degraded flag is each response's
-    own).  Under ``--daemon`` the stdin stream is coalesced into
-    micro-batches (``--batch-window-ms`` / ``--max-batch``) so concurrent
-    callers amortize the GIN forward and the scatter, and a malformed or
-    unreadable dataset costs one stderr line, never the daemon.
+    Returns the number of recommendations served.  Under ``--daemon`` the
+    stdin stream is coalesced into micro-batches (``--batch-window-ms`` /
+    ``--max-batch``) so concurrent callers amortize the GIN forward and
+    the neighbor scan, and a malformed or unreadable dataset costs one
+    stderr line, never the daemon.
     """
-    from .serving import BatchingConfig, DegradedServiceError, iter_batches
+    from .serving import BatchingConfig, iter_batches
 
-    latencies: list[tuple[float, bool]] = []
+    def serve(batch: list[Dataset]) -> int:
+        if not batch:
+            return 0
+        recs = advisor.recommend_batch(batch, accuracy_weight=args.weight,
+                                       k=args.k)
+        for dataset, rec in zip(batch, recs):
+            print(f"  {dataset.name:<24} -> {rec.model}")
+        return len(recs)
+
+    if not args.daemon:
+        return serve(datasets)
+    print("daemon: reading dataset paths from stdin (one per line, "
+          "EOF stops)", flush=True)
+    batching = BatchingConfig(max_batch=args.max_batch,
+                              window_ms=args.batch_window_ms)
     served = 0
-    degraded = 0
-
-    def serve(paths: list[str], *, lenient: bool = False) -> None:
-        nonlocal served, degraded
-        datasets = []
+    for paths in iter_batches(sys.stdin, batching):
+        loaded = []
         for path in paths:
-            if not lenient:
-                datasets.append(load_dataset(path))
-                continue
             try:
-                datasets.append(load_dataset(path))
+                loaded.append(load_dataset(path))
             except _DATASET_ERRORS as error:
                 # A missing, truncated or malformed dataset file must not
                 # kill the stream — report it and serve the rest.
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
-        if not datasets:
-            return
-        # The serve report's latency percentiles are the one place the CLI
-        # legitimately reads the clock.
-        start = time.perf_counter()  # repro: allow[REP002]
-        if server is not None:
-            recs = server.recommend_batch(datasets,
-                                          accuracy_weight=args.weight,
-                                          k=args.k)
-        else:
-            recs = advisor.recommend_batch(datasets,
-                                           accuracy_weight=args.weight,
-                                           k=args.k)
-        elapsed = time.perf_counter() - start  # repro: allow[REP002]
-        # Per-request accounting: the percentiles are labeled per-request,
-        # so a coalesced batch contributes one sample per member (its even
-        # share of the batch time) with that member's own degraded flag.
-        share = elapsed / len(recs)
-        for dataset, rec in zip(datasets, recs):
-            latencies.append((share, getattr(rec, "degraded", False)))
-            line = f"  {dataset.name:<24} -> {rec.model}"
-            if getattr(rec, "degraded", False):
-                line += f"  [degraded: coverage {rec.coverage:.2f}]"
-            print(line)
-        served += len(recs)
-        degraded += sum(1 for rec in recs if getattr(rec, "degraded", False))
-
-    if args.daemon:
-        print("daemon: reading dataset paths from stdin (one per line, "
-              "EOF stops)", flush=True)
-        batching = BatchingConfig(max_batch=args.max_batch,
-                                  window_ms=args.batch_window_ms)
-        for batch in iter_batches(sys.stdin, batching):
-            try:
-                serve(batch, lenient=True)
-            except (OSError, ValueError, DegradedServiceError) as error:
-                for path in batch:
-                    print(f"  {path} -> ERROR: {error}", file=sys.stderr)
-            sys.stdout.flush()
-    elif server is not None:
-        for path in args.datasets:
-            try:
-                serve([path])
-            except DegradedServiceError as error:
+        try:
+            served += serve(loaded)
+        except (OSError, ValueError) as error:
+            for path in paths:
                 print(f"  {path} -> ERROR: {error}", file=sys.stderr)
-    else:
-        serve(list(args.datasets))
-    return served, degraded, latencies
+        sys.stdout.flush()
+    return served
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -485,15 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("datasets", nargs="*",
                    help="dataset .npz files produced by 'generate' "
                         "(optional with --daemon)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="serve through this many supervised shard worker "
-                        "processes (0 = in-process serving); crashed shards "
-                        "are restarted with bounded backoff")
-    p.add_argument("--deadline-ms", type=float, default=None,
-                   help="per-request latency budget; shards that miss it "
-                        "are cut from the merge and the response is "
-                        "returned degraded with coverage fractions "
-                        "(requires --shards)")
     p.add_argument("--daemon", action="store_true",
                    help="read dataset paths from stdin (one per line) and "
                         "serve each until EOF; streaming requests are "
@@ -527,29 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "this tier while the encoder keeps its trained "
                         "precision (e.g. float32 serving over float64 "
                         "weights)")
-    p.add_argument("--quantize", nargs="?", const="auto", default=None,
-                   choices=("auto", "int8", "pq"),
-                   help="add the quantized candidate tier: corpus scans "
-                        "rank compressed codes and re-rank the top "
-                        "k*overfetch candidates in the float serving "
-                        "tier.  Optional layout: 'int8' "
-                        "(flat codes, exact integer arithmetic up to 260 "
-                        "dims), 'pq' (product quantization for wider "
-                        "embeddings; one byte per ~32 dims, add "
-                        "residual refinement via the advisor config for "
-                        "recall-critical corpora), or 'auto' (the "
-                        "default: int8 up to 260 dims, pq past that)")
-    p.add_argument("--ivf", nargs="?", const=0, default=None, type=int,
-                   metavar="CELLS",
-                   help="add an IVF coarse partition over the quantized "
-                        "tier (implies --quantize): corpus scans probe "
-                        "only the --nprobe nearest of CELLS k-means cells "
-                        "instead of every member.  Omit the value (or "
-                        "pass 0) for the auto cell count ~sqrt(N)")
-    p.add_argument("--nprobe", type=int, default=None,
-                   help="cells probed per query under --ivf (default 8); "
-                        "higher = better recall, slower scans; nprobe >= "
-                        "cells serves bit-for-bit as the flat scan")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("experiment",

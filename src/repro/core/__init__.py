@@ -14,12 +14,8 @@ from .losses import (weighted_contrastive_loss, basic_contrastive_loss,
                      cosine_similarity_matrix, positive_negative_masks,
                      pairwise_distances, pair_weights)
 from .dml import DMLConfig, DMLTrainer
-from .serving import (ExactIndex, INT8_EXACT_MAX_DIM, KNNPredictor,
-                      PQStore, QuantizationConfig, QuantizedStore,
-                      Recommendation, RecommendationCandidateSet,
-                      candidate_scan, exact_search,
-                      quantized_distances_int32_reference,
-                      rerank_candidates, seeded_kmeans, select_quantizer,
+from .serving import (ExactIndex, KNNPredictor, Recommendation,
+                      RecommendationCandidateSet, exact_search,
                       squared_distance_matrix, top_k_neighbors)
 from .incremental import (IncrementalConfig, AugmentationResult,
                           collect_feedback, augment_with_mixup,
@@ -43,11 +39,8 @@ __all__ = [
     "pairwise_distances", "pair_weights",
     "DMLConfig", "DMLTrainer",
     "ExactIndex", "KNNPredictor",
-    "INT8_EXACT_MAX_DIM", "PQStore", "QuantizationConfig", "QuantizedStore",
-    "Recommendation", "RecommendationCandidateSet", "candidate_scan",
-    "exact_search", "quantized_distances_int32_reference",
-    "rerank_candidates", "seeded_kmeans",
-    "select_quantizer", "squared_distance_matrix", "top_k_neighbors",
+    "Recommendation", "RecommendationCandidateSet",
+    "exact_search", "squared_distance_matrix", "top_k_neighbors",
     "IncrementalConfig", "AugmentationResult", "collect_feedback",
     "augment_with_mixup", "incremental_learning",
     "DriftDetector", "OnlineAdapter",

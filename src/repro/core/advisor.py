@@ -22,11 +22,11 @@ per-query Python overhead::
 
     recs = advisor.recommend_batch(datasets, accuracy_weight=0.9)
 
-Scale-out serving
------------------
-Neighbor search is always the exact ``[Q, N]`` scan
-(:class:`~repro.core.serving.ExactIndex`, member norms cached as the RCS
-grows).  Further knobs grow the serving path past a single warm process:
+Serving knobs
+-------------
+Every RCS is searched by one exact ``[Q, N]`` scan in the advisor's
+dtype (:class:`~repro.core.serving.ExactIndex`, member norms cached as
+the RCS grows).  Three knobs tune the rest of the serving path:
 
 * **Persistent embedding cache** — both :meth:`recommend` and
   :meth:`recommend_batch` consult an LRU embedding memo-cache keyed by the
@@ -42,11 +42,7 @@ grows).  Further knobs grow the serving path past a single warm process:
   numpy-heavy and release the GIL); ``0`` means one worker per CPU.
 * **Mixed precision tiers** — ``AutoCEConfig.serving_dtype`` serves the KNN
   path at a lower tier than the training loop (float32 embeddings over
-  float64 encoder weights, no destructive downcast), and
-  ``AutoCEConfig.quantization`` adds a quantized candidate tier: corpus
-  scans rank compressed codes — flat int8 up to 260 dims, product
-  quantization past that (``mode``) — and re-rank the top
-  ``k · overfetch`` candidates in the float tier.
+  float64 encoder weights, no destructive downcast).
 
 ``AutoCEConfig.featurize_sample_rows`` optionally enables the row-sampling
 featurizer sketch for very large tables; the exact featurizer is the
@@ -58,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -71,8 +67,7 @@ from .encoder import GINEncoder
 from .graph import DEFAULT_MAX_COLUMNS, FeatureGraph, build_feature_graph
 from .incremental import IncrementalConfig, incremental_learning
 from .online import DriftDetector, OnlineAdapter
-from .serving import (KNNPredictor, QuantizationConfig, Recommendation,
-                      RecommendationCandidateSet)
+from .serving import KNNPredictor, Recommendation, RecommendationCandidateSet
 
 
 @dataclass
@@ -96,12 +91,6 @@ class AutoCEConfig:
     #: ``fit`` / ``adapt_online`` still train in float64) while the KNN
     #: kernels run on the fast tier — no destructive ``set_dtype`` downcast.
     serving_dtype: str | None = None
-    #: The quantized candidate tier: compressed codes of the RCS
-    #: embeddings (flat int8 or product quantization, see
-    #: ``QuantizationConfig.mode``) scanned for candidate selection and
-    #: re-ranked in the float serving tier.
-    quantization: QuantizationConfig = field(
-        default_factory=QuantizationConfig)
     #: The paper's Table IV optimum is k = 2 on a 1 000-dataset corpus; on
     #: this reproduction's smaller default corpus a slightly larger
     #: neighborhood averages out label noise (see the Table IV bench).
@@ -217,9 +206,7 @@ class AutoCE:
     def _rebuild_rcs(self) -> None:
         embeddings = np.asarray(self.encoder.embed(self._graphs),
                                 dtype=self.serving_dtype)
-        self.rcs = RecommendationCandidateSet(
-            embeddings, list(self._labels),
-            quantization=self.config.quantization)
+        self.rcs = RecommendationCandidateSet(embeddings, list(self._labels))
 
     # ------------------------------------------------------------------
     # Embedding memo-cache
@@ -241,16 +228,9 @@ class AutoCE:
             # embeddings, and a float32 node must never be handed a stale
             # float64 entry (or vice versa) from a shared cache directory.
             # The serving tier folds in for the same reason: cached rows
-            # live at that tier.  The quantization parameters never change
-            # the cached rows themselves, but they fold in too so one stamp
-            # describes the node's whole serving configuration — a
-            # conservative trade: toggling the candidate tier re-embeds the
-            # working set once rather than ever serving under an ambiguous
-            # generation.
+            # live at that tier.
             digest.update(str(self.encoder.dtype).encode())
             digest.update(str(self.serving_dtype).encode())
-            digest.update(repr(sorted(
-                asdict(self.config.quantization).items())).encode())
             for param in self.encoder.parameters():
                 data = np.ascontiguousarray(param.data)
                 digest.update(str(data.shape).encode())
@@ -370,32 +350,6 @@ class AutoCE:
                 self._rebuild_rcs()
         return self
 
-    def set_quantization(self, enabled: bool,
-                         mode: str | None = None) -> "AutoCE":
-        """Toggle the quantized candidate tier on the serving path.
-
-        ``mode`` optionally re-pins the code layout: "auto" (flat int8 up
-        to the exactness bound, product quantization for wider
-        embeddings), "int8" or "pq".  When the resulting config values
-        match what the attached store was built under, the call is a
-        no-op — no codebook retraining, and the cache generation stamp
-        (which folds in the quantization params and is unchanged by
-        definition) survives.  Any value change re-selects and
-        recalibrates the store and re-derives the stamp.
-        """
-        if mode is not None:
-            # replace() re-runs QuantizationConfig.__post_init__, so the
-            # mode validation lives in exactly one place.
-            self.config.quantization = replace(self.config.quantization,
-                                               mode=mode)
-        self.config.quantization.enabled = bool(enabled)
-        changed = True
-        if self.rcs is not None:
-            changed = self.rcs.set_quantization(self.config.quantization)
-        if changed:
-            self._invalidate_embedding_cache()
-        return self
-
     # ------------------------------------------------------------------
     # Stage 4: recommendation
     # ------------------------------------------------------------------
@@ -440,8 +394,8 @@ class AutoCE:
         """Batched query embedding: parallel featurization + one forward.
 
         The public half of :meth:`recommend_batch`, exposed so external
-        serving paths (the sharded supervisor) can embed through the same
-        memo-cache and then run their own neighbor search.
+        serving paths can embed through the same memo-cache and then run
+        their own neighbor search.
         """
         self._require_fitted()
         if not datasets:
@@ -495,9 +449,8 @@ class AutoCE:
         adapter.adapt(graph, label, self._graphs, self._labels, self.rcs)
         if self.rcs.embeddings.dtype != self.serving_dtype:
             # Safety net only: the adapter refreshes the RCS on its own
-            # tier, so this recast (a second norm rebuild and int8
-            # requantization) runs only if the RCS somehow left the
-            # configured serving tier.
+            # tier, so this recast (a second norm rebuild) runs only if the
+            # RCS somehow left the configured serving tier.
             self.rcs.replace_embeddings(
                 np.asarray(self.rcs.embeddings, dtype=self.serving_dtype))
         self._invalidate_embedding_cache()

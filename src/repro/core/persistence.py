@@ -25,7 +25,6 @@ Typical usage::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import zipfile
 import zlib
@@ -39,21 +38,15 @@ from .dml import DMLConfig, DMLTrainer
 from .encoder import GINEncoder
 from .graph import FeatureGraph
 from .incremental import IncrementalConfig
-from .serving import (CandidateStore, PQStore, QuantizationConfig,
-                      QuantizedStore, RecommendationCandidateSet)
+from .serving import RecommendationCandidateSet
 
-#: Bump on any change to the on-disk layout.  Version 2 added the optional
-#: quantizer-state block (``quant_*`` arrays + the ``"quantizer"`` metadata
-#: entry carrying kind / generation stamp / scalar state) so reloaded nodes
-#: attach codebooks instead of retraining them.
+#: Bump on any change to the on-disk layout.  Version 2 added stacked
+#: score labels and an optional quantizer-state block; builds with
+#: quantized search tiers wrote that block, and this build ignores it.
 FORMAT_VERSION = 2
 
-#: Versions this build can read.  Version-1 saves simply have no quantizer
-#: block, so they load through the retrain-on-attach path unchanged.
+#: Versions this build can read.
 _SUPPORTED_VERSIONS = frozenset({1, 2})
-
-#: Prefix namespacing the quantizer-state arrays inside the ``.npz``.
-_QUANT_PREFIX = "quant_"
 
 
 class AdvisorLoadError(ValueError):
@@ -84,15 +77,12 @@ def _config_from_dict(payload: dict) -> AutoCEConfig:
     payload["incremental"] = IncrementalConfig(**payload["incremental"])
     # Advisors saved before the scale-out serving fields existed load with
     # the defaults (in-memory cache only, the dtype tier default).  Saves
-    # from builds with LSH search carry an ``ann`` block (a dict, or null);
-    # search is always exact now, so it is dropped unread.
+    # from builds with LSH search carry an ``ann`` block, and saves from
+    # builds with quantized search tiers a ``quantization`` block (each a
+    # dict, or null); search is always exact now, so both are dropped
+    # unread.
     payload.pop("ann", None)
-    # `.get(...) is not None`, not `in`: an advisor configured with the
-    # quantized tier explicitly off serializes the field as JSON null,
-    # which must round-trip to None rather than crash the load.
-    if payload.get("quantization") is not None:
-        payload["quantization"] = QuantizationConfig(
-            **payload["quantization"])
+    payload.pop("quantization", None)
     return AutoCEConfig(**payload)
 
 
@@ -128,57 +118,8 @@ def _label_from_dict(payload: dict) -> ScoreLabel:
                       se=np.asarray(payload["se"], dtype=np.float64))
 
 
-def quantizer_generation(embeddings: np.ndarray,
-                         config: QuantizationConfig) -> str:
-    """Content stamp binding quantizer artifacts to (corpus, config).
-
-    Codebooks, codes and coarse centroids are pure functions of the RCS
-    rows and the quantization parameters, so the stamp hashes exactly
-    those two inputs.  A reloaded node recomputes the stamp from what it
-    actually loaded and attaches the saved artifacts only on a match —
-    anything else (edited rows, changed knobs, a save produced by other
-    code) falls back to retraining, never to serving stale codes.
-    """
-    digest = hashlib.sha256()
-    rows = np.ascontiguousarray(embeddings)
-    digest.update(str(rows.shape).encode())
-    digest.update(str(rows.dtype).encode())
-    digest.update(rows.tobytes())
-    digest.update(repr(sorted(asdict(config).items())).encode())
-    return digest.hexdigest()[:16]
-
-
-def _restore_quantizer(embeddings: np.ndarray, config: QuantizationConfig,
-                       data: "np.lib.npyio.NpzFile",
-                       payload: dict) -> CandidateStore:
-    """Rebuild the saved candidate store — zero k-means, zero calibration."""
-    arrays = {name[len(_QUANT_PREFIX):]: data[name]
-              for name in data.files if name.startswith(_QUANT_PREFIX)}
-    meta = payload["meta"]
-    kind = payload["kind"]
-    base_kind = kind[len("ivf-"):] if kind.startswith("ivf-") else kind
-    base: QuantizedStore | PQStore
-    if base_kind == "pq":
-        base = PQStore.restore(embeddings, config, arrays, meta)
-    else:
-        base = QuantizedStore.restore(embeddings, config, arrays, meta)
-    if kind.startswith("ivf-"):
-        from .ivf import IVFStore
-        return IVFStore.restore(embeddings, config, arrays, meta, base)
-    return base
-
-
-def save_advisor(advisor: AutoCE, path: str, *,
-                 include_quantizer_state: bool = True) -> None:
-    """Persist a fitted advisor to a single compressed ``.npz`` file.
-
-    When the RCS has a quantized candidate tier attached, its full state
-    (codebooks, codes, coarse centroids/assignments, drift counters) is
-    saved alongside — stamped by :func:`quantizer_generation` — so
-    :func:`load_advisor` restores it without retraining.  Pass
-    ``include_quantizer_state=False`` to write rows-only saves (the
-    pre-version-2 behavior; loads retrain on attach).
-    """
+def save_advisor(advisor: AutoCE, path: str) -> None:
+    """Persist a fitted advisor to a single ``.npz`` file."""
     if advisor.encoder is None or advisor.rcs is None:
         raise ValueError("cannot save an unfitted advisor; call fit() first")
 
@@ -208,17 +149,6 @@ def save_advisor(advisor: AutoCE, path: str, *,
             [np.asarray(label.se, dtype=np.float64) for label in labels])
     else:
         metadata["labels"] = [_label_to_dict(label) for label in labels]
-    store = advisor.rcs.quantized
-    if include_quantizer_state and store is not None:
-        quant_arrays, quant_meta = store.export_state()
-        for name, value in quant_arrays.items():
-            arrays[f"{_QUANT_PREFIX}{name}"] = value
-        metadata["quantizer"] = {
-            "kind": store.kind,
-            "generation": quantizer_generation(
-                advisor.rcs.embeddings, advisor.config.quantization),
-            "meta": quant_meta,
-        }
     arrays["metadata"] = np.frombuffer(
         json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
     for i, param in enumerate(advisor.encoder.parameters()):
@@ -226,11 +156,9 @@ def save_advisor(advisor: AutoCE, path: str, *,
     for i, graph in enumerate(advisor._graphs):
         arrays[f"graph_{i}_vertices"] = graph.vertices
         arrays[f"graph_{i}_edges"] = graph.edges
-    # Stored, not deflated: the bulk of a save is float embedding rows and
-    # quantizer codes, which zlib shrinks by only a few percent while
-    # costing ~10x the read time — and restart latency (a crashed shard
-    # worker reloading inside its backoff budget) is exactly what the
-    # persisted quantizer state exists to protect.
+    # Stored, not deflated: the bulk of a save is float weights and
+    # embedding rows, which zlib shrinks by only a few percent while
+    # costing ~10x the read time of a serving node's restart.
     np.savez(path, **arrays)
 
 
@@ -304,24 +232,10 @@ def _load_advisor(path: str) -> AutoCE:
         ]
         # RCS embeddings were saved at the serving tier (which the config
         # round-trips), so the reloaded node serves the exact same rows.
-        # When the save carries quantizer state whose generation stamp
-        # matches what we actually loaded (rows + round-tripped config),
-        # the saved store attaches directly — zero k-means calls, restart
-        # cost O(1) in corpus size.  A missing block (v1 saves, rows-only
-        # saves) or a stamp mismatch falls back to retraining on attach.
-        embeddings = data["rcs_embeddings"]
-        quantized_store: CandidateStore | None = None
-        quant_payload = metadata.get("quantizer")
-        if (quant_payload is not None and config.quantization is not None
-                and config.quantization.enabled):
-            expected = quantizer_generation(embeddings, config.quantization)
-            if quant_payload.get("generation") == expected:
-                quantized_store = _restore_quantizer(
-                    embeddings, config.quantization, data, quant_payload)
+        # Legacy quantizer state (the ``quantizer`` metadata entry and the
+        # ``quant_*`` arrays) is never read.
         advisor.rcs = RecommendationCandidateSet(
-            embeddings, list(advisor._labels),
-            quantization=config.quantization,
-            quantized_store=quantized_store)
+            data["rcs_embeddings"], list(advisor._labels))
 
     advisor.trainer = DMLTrainer(advisor.encoder, config.dml)
     return advisor

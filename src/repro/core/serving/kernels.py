@@ -29,10 +29,9 @@ def require_finite_embeddings(embeddings: np.ndarray,
                               context: str = "embeddings") -> None:
     """Reject NaN/inf rows before they enter a candidate set.
 
-    One non-finite row silently poisons everything calibrated from the
-    corpus — quantizer scales collapse to NaN, distance ties become
-    unordered — so entry points fail loudly instead, naming the offending
-    rows.
+    One non-finite row silently poisons the distance ranking (every
+    comparison against NaN is false, so ties become unordered), so entry
+    points fail loudly instead, naming the offending rows.
     """
     matrix = np.atleast_2d(np.asarray(embeddings))
     finite = np.isfinite(matrix).all(axis=1)
@@ -42,8 +41,7 @@ def require_finite_embeddings(embeddings: np.ndarray,
         more = f" (+{len(bad) - 5} more)" if len(bad) > 5 else ""
         raise ValueError(
             f"{context} contain non-finite values in row(s) {shown}{more}; "
-            "NaN/inf embeddings would poison quantizer calibration and "
-            "distance ranking")
+            "NaN/inf embeddings would poison the distance ranking")
 
 
 def _common_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:

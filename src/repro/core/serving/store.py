@@ -1,15 +1,14 @@
 """The RCS (Def. 5) and the KNN predictor (Eq. 13) over one exact scan.
 
 :class:`RecommendationCandidateSet` owns the labeled embeddings and
-keeps its :class:`ExactIndex` (cached member norms) and the optional
-quantized candidate store size-synced through ``add`` /
-``replace_embeddings``; :class:`KNNPredictor` averages the k nearest
-labels' score vectors under the user's metric weights.
+keeps its :class:`ExactIndex` (cached member norms) size-synced through
+``add`` / ``replace_embeddings``; :class:`KNNPredictor` averages the k
+nearest labels' score vectors under the user's metric weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from ...testbed.scores import ScoreLabel
 from .kernels import (_as_float_matrix, _common_dtype, exact_search,
                       require_finite_embeddings, squared_distance_matrix,
                       top_k_neighbors)
-from .quantizers import (CandidateStore, QuantizationConfig,
-                         candidate_scan, select_quantizer)
 
 
 class ExactIndex:
@@ -29,11 +26,9 @@ class ExactIndex:
     GEMM and the top-k selection — and returns the bytes
     :func:`exact_search` would.  Queries meeting the members at another
     tier (float64 queries over float32 members) take :func:`exact_search`
-    itself, and an attached, size-synced quantized store routes through
-    :func:`candidate_scan`.  Like the stores, the index re-derives its
-    norms when handed a matrix whose length it does not recognize; a
-    same-length change must be announced via :meth:`rebuild`, which the
-    RCS does.
+    itself.  The index re-derives its norms when handed a matrix whose
+    length it does not recognize; a same-length change must be announced
+    via :meth:`rebuild`, which the RCS does.
     """
 
     def __init__(self) -> None:
@@ -55,11 +50,8 @@ class ExactIndex:
         self._size += 1
 
     def search(self, queries: np.ndarray, embeddings: np.ndarray,
-               k: int, *, store: CandidateStore | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+               k: int) -> tuple[np.ndarray, np.ndarray]:
         """([Q, k] neighbor indices, [Q, k] Euclidean distances)."""
-        if store is not None and len(store) == len(embeddings):
-            return candidate_scan(queries, embeddings, k, store)
         if self._size != len(embeddings):
             self.rebuild(embeddings)
         norms = self._norms[:self._size]
@@ -105,14 +97,11 @@ class RecommendationCandidateSet:
     accuracy weight) are memoized for the batched KNN.
 
     Neighbor queries go through :meth:`search`: the exact scan of the
-    always-attached :class:`ExactIndex`, over the quantized candidate tier
-    when one is attached.
+    always-attached :class:`ExactIndex`.
     """
 
     def __init__(self, embeddings: np.ndarray | None = None,
-                 labels: list[ScoreLabel] | None = None,
-                 quantization: QuantizationConfig | None = None,
-                 quantized_store: "CandidateStore | None" = None) -> None:
+                 labels: list[ScoreLabel] | None = None) -> None:
         # The buffer keeps the embeddings' precision tier: a float32 corpus
         # (the serving fast tier) is stored and searched in float32.
         embeddings = (np.zeros((0, 0), dtype=np.float64)
@@ -126,22 +115,6 @@ class RecommendationCandidateSet:
         self._score_cache: dict[float, np.ndarray] = {}
         self._index = ExactIndex()
         self._index.rebuild(self.embeddings)
-        self.quantization = quantization
-        self._quantized: CandidateStore | None = None
-        #: Value snapshot of the config the attached store was built under
-        #: (the live ``quantization`` object may be mutated in place by
-        #: :meth:`AutoCE.set_quantization`; the snapshot is what makes the
-        #: no-op check a *value* comparison).
-        self._quantized_config: QuantizationConfig | None = None
-        if (quantized_store is not None and quantization is not None
-                and quantization.enabled
-                and len(quantized_store) == self._size):
-            # Warm attach (persistence restore path): adopt a prebuilt
-            # store instead of retraining codebooks from the rows.
-            self._quantized = quantized_store
-            self._quantized_config = replace(quantization)
-        else:
-            self._sync_quantized()
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -157,53 +130,10 @@ class RecommendationCandidateSet:
         return self._index
 
     @property
-    def quantized(self) -> CandidateStore | None:
-        """The attached quantized candidate tier — flat int8 or PQ,
-        whichever :func:`select_quantizer` picked (None = float
-        candidates)."""
-        return self._quantized
-
-    @property
     def model_names(self) -> tuple[str, ...]:
         if not self.labels:
             raise ValueError("empty RCS")
         return self.labels[0].model_names
-
-    def _sync_quantized(self) -> None:
-        """Attach a quantized candidate tier once membership reaches its
-        floor; :func:`select_quantizer` picks the code layout (flat int8
-        up to the exactness bound, PQ for wider embeddings)."""
-        config = self.quantization
-        if (self._quantized is None and config is not None and config.enabled
-                and self._size >= config.min_size):
-            self._quantized = select_quantizer(self.embeddings, config)
-            self._quantized_config = replace(config)
-
-    def set_quantization(self, config: QuantizationConfig | None) -> bool:
-        """Switch the quantized candidate tier on or off for a live RCS.
-
-        Returns whether anything changed.  Re-enabling with a config whose
-        *values* match the one the attached store was built under (and a
-        store still covering the live corpus) is a no-op — no codebook
-        retraining, no k-means.  Any value change re-selects the layout: a
-        config whose ``mode`` changed (or whose "auto" resolves
-        differently) swaps the store class, and construction recalibrates
-        from the live corpus either way.
-        """
-        self.quantization = config
-        if config is None or not config.enabled:
-            changed = self._quantized is not None
-            self._quantized = None
-            self._quantized_config = None
-            return changed
-        if (self._quantized is not None
-                and self._quantized_config == config
-                and len(self._quantized) == self._size):
-            return False
-        self._quantized = None
-        self._quantized_config = None
-        self._sync_quantized()
-        return True
 
     def add(self, embedding: np.ndarray, label: ScoreLabel) -> None:
         embedding = _as_float_matrix(embedding).ravel()
@@ -227,22 +157,12 @@ class RecommendationCandidateSet:
         self.labels.append(label)
         self._score_cache.clear()
         self._index.add(self._buffer[self._size - 1])
-        if self._quantized is not None:
-            # Requantization hook: the store quantizes the appended row
-            # under its frozen calibration and reports drift (clipping /
-            # gross outliers), at which point the scale and zero-points are
-            # recalibrated from the live corpus.
-            if self._quantized.add(embedding):
-                self._quantized.recalibrate(self.embeddings)
-        else:
-            self._sync_quantized()
 
     def replace_embeddings(self, embeddings: np.ndarray) -> None:
         """Refresh stored embeddings after the encoder is retrained.
 
         Retraining (or a precision-tier switch) changes the corpus
-        geometry, so the cached member norms and any quantized codes are
-        rebuilt from the new rows.
+        geometry, so the cached member norms are rebuilt from the new rows.
         """
         embeddings = _as_float_matrix(embeddings)
         require_finite_embeddings(embeddings, "RCS embeddings")
@@ -252,20 +172,13 @@ class RecommendationCandidateSet:
         self._size = len(embeddings)
         self._score_cache.clear()
         self._index.rebuild(self.embeddings)
-        if self._quantized is not None:
-            # Retrained embeddings land on new geometry; the old calibration
-            # is meaningless, so requantize the whole corpus.
-            self._quantized.recalibrate(self.embeddings)
-        else:
-            self._sync_quantized()
 
     def search(self, queries: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest members per query: ([Q, k] indices, [Q, k] distances)."""
         queries = _as_float_matrix(queries)
         k = min(k, self._size)
-        return self._index.search(queries, self.embeddings, k,
-                                  store=self._quantized)
+        return self._index.search(queries, self.embeddings, k)
 
     def score_matrix(self, accuracy_weight: float) -> np.ndarray:
         """Memoized [N, m] matrix of member score vectors at one weight."""

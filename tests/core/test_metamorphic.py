@@ -1,8 +1,7 @@
 """Metamorphic invariance suite for the serving stack.
 
-One parametrized harness runs every property against all serving paths —
-the exact scan, the int8 candidate tier, the product-quantization tier,
-and both IVF-partitioned quantized tiers:
+One parametrized harness runs every property against the serving path —
+the exact scan:
 
 * advisor level: recommendations are invariant under dataset **row
   permutation** (column statistics are order-free), **column permutation**
@@ -10,8 +9,7 @@ and both IVF-partitioned quantized tiers:
   recommendation stable) and **duplicate-query batching** (batched serving
   must agree with itself and with single-query serving);
 * index level: KNN rankings are invariant under a **global embedding
-  translation** (Euclidean distances are translation-free; every tier
-  must preserve that through its own quantization).
+  translation** (Euclidean distances are translation-free).
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ import pytest
 
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
-from repro.core.ivf import IVFStore
-from repro.core.serving import (ExactIndex, PQStore, QuantizationConfig,
-                                QuantizedStore)
+from repro.core.serving import ExactIndex
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.db.schema import Dataset
@@ -31,7 +27,7 @@ from repro.db.table import Table
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")
-PATHS = ("exact", "quantized", "pq", "ivf-int8", "ivf-pq")
+PATHS = ("exact",)
 
 
 # ----------------------------------------------------------------------
@@ -64,48 +60,14 @@ def permute_columns(dataset: Dataset, seed: int) -> Dataset:
 
 
 # ----------------------------------------------------------------------
-# The five serving paths
+# The serving paths
 # ----------------------------------------------------------------------
-def int8_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=4)
-
-
-def pq_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8, overfetch=4)
-
-
-def ivf_int8_quant() -> QuantizationConfig:
-    # Few cells and nprobe < cells so the probed scan genuinely engages
-    # on the 36-member advisor corpus (nprobe >= cells would delegate).
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=4, ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
-def ivf_pq_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8, overfetch=4,
-                              ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
 def path_config(path: str) -> AutoCEConfig:
-    config = AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
-                          use_incremental=False,
-                          dml=DMLConfig(epochs=3, batch_size=8), seed=0)
-    if path == "quantized":
-        config.quantization = int8_quant()
-    elif path == "pq":
-        config.quantization = pq_quant()
-    elif path == "ivf-int8":
-        config.quantization = ivf_int8_quant()
-    elif path == "ivf-pq":
-        config.quantization = ivf_pq_quant()
-    elif path != "exact":
+    if path != "exact":
         raise ValueError(path)
-    return config
+    return AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
+                        use_incremental=False,
+                        dml=DMLConfig(epochs=3, batch_size=8), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -133,13 +95,6 @@ def advisors(corpus):
         built[path] = advisor
     # Every path must actually run the machinery it names.
     assert isinstance(built["exact"].rcs.index, ExactIndex)
-    assert built["exact"].rcs.quantized is None
-    assert isinstance(built["quantized"].rcs.quantized, QuantizedStore)
-    assert isinstance(built["pq"].rcs.quantized, PQStore)
-    assert isinstance(built["ivf-int8"].rcs.quantized, IVFStore)
-    assert built["ivf-int8"].rcs.quantized.kind == "ivf-int8"
-    assert isinstance(built["ivf-pq"].rcs.quantized, IVFStore)
-    assert built["ivf-pq"].rcs.quantized.kind == "ivf-pq"
     return built
 
 
@@ -210,31 +165,11 @@ def family_cloud(seed: int = 0, families: int = 64, per_family: int = 24,
 
 
 def make_searcher(path: str, members: np.ndarray):
-    store = None
+    if path != "exact":
+        raise ValueError(path)
     index = ExactIndex()
     index.rebuild(members)
-    if path == "quantized":
-        store = QuantizedStore(members, QuantizationConfig(
-            enabled=True, min_size=16, overfetch=8))
-    elif path == "pq":
-        store = PQStore(members, QuantizationConfig(
-            enabled=True, mode="pq", num_subspaces=8, codebook_size=64,
-            min_size=16, overfetch=8))
-    elif path == "ivf-int8":
-        # One coarse cell per family, probing 8: the true top-k live in
-        # the query's own (certainly probed) cell, so the probed scan
-        # keeps the exact ranking on both translation alignments.
-        store = IVFStore(members, QuantizationConfig(
-            enabled=True, mode="int8", min_size=16, overfetch=8,
-            ivf=True, ivf_cells=64, nprobe=8, ivf_min_size=16))
-    elif path == "ivf-pq":
-        store = IVFStore(members, QuantizationConfig(
-            enabled=True, mode="pq", num_subspaces=16, codebook_size=128,
-            min_size=16, overfetch=8, ivf=True, ivf_cells=64, nprobe=8,
-            ivf_min_size=16))
-    elif path != "exact":
-        raise ValueError(path)
-    return lambda queries, k: index.search(queries, members, k, store=store)
+    return lambda queries, k: index.search(queries, members, k)
 
 
 @pytest.mark.parametrize("path", PATHS)

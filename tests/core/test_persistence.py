@@ -133,7 +133,7 @@ class TestErrors:
             load_advisor(path)
 
     def test_previous_format_version_still_accepted(self, fitted, tmp_path):
-        """v1 saves (pre-IVF, per-label JSON, no quantizer block) must keep
+        """v1 saves (per-label JSON, no quantizer block) must keep
         loading: the version gate is a whitelist, not an equality check."""
         advisor, graphs, _ = fitted
         path = str(tmp_path / "advisor.npz")
@@ -175,6 +175,33 @@ LEGACY_ANN_BLOCKS = {
 }
 
 
+def rewrite_save(plain: str, legacy: str, version: int, edit_metadata,
+                 extra_arrays=None) -> None:
+    """Copy a fresh save to ``legacy`` as an older build would have
+    written it: ``format_version`` set, metadata edited in place, and any
+    extra ``.npz`` members added."""
+    with np.load(plain) as data:
+        arrays = {k: data[k] for k in data.files}
+    metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+    metadata["format_version"] = version
+    edit_metadata(metadata)
+    arrays["metadata"] = np.frombuffer(
+        json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    arrays.update(extra_arrays or {})
+    np.savez(legacy, **arrays)
+
+
+def assert_serves_like(legacy: str, plain: str, graphs) -> None:
+    """Same picks, neighbour indices and distance bytes as ``plain``."""
+    want = load_advisor(plain).recommend_batch(graphs, 0.9)
+    got = load_advisor(legacy).recommend_batch(graphs, 0.9)
+    for a, b in zip(got, want):
+        assert a.model == b.model
+        np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
+        assert (a.neighbor_distances.tobytes()
+                == b.neighbor_distances.tobytes())
+
+
 class TestLegacyAnnBlock:
     """Advisor files from builds with LSH search still load and serve."""
 
@@ -185,23 +212,110 @@ class TestLegacyAnnBlock:
         plain = str(tmp_path / "plain.npz")
         legacy = str(tmp_path / "legacy.npz")
         save_advisor(advisor, plain)
-        with np.load(plain) as data:
-            arrays = {k: data[k] for k in data.files}
-        metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
-        assert "ann" not in metadata["config"]
-        metadata["format_version"] = version
-        metadata["config"]["ann"] = LEGACY_ANN_BLOCKS[block]
-        arrays["metadata"] = np.frombuffer(
-            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-        np.savez(legacy, **arrays)
-        want = load_advisor(plain).recommend_batch(graphs, 0.9)
-        got = load_advisor(legacy).recommend_batch(graphs, 0.9)
-        for a, b in zip(got, want):
-            assert a.model == b.model
-            np.testing.assert_array_equal(a.neighbor_indices,
-                                          b.neighbor_indices)
-            assert (a.neighbor_distances.tobytes()
-                    == b.neighbor_distances.tobytes())
+
+        def add_ann(metadata):
+            assert "ann" not in metadata["config"]
+            metadata["config"]["ann"] = LEGACY_ANN_BLOCKS[block]
+
+        rewrite_save(plain, legacy, version, add_ann)
+        assert_serves_like(legacy, plain, graphs)
+
+
+def legacy_quantization(**overrides) -> dict:
+    """A ``quantization`` config block as builds with quantized search
+    tiers serialized it (every field, defaults unless overridden)."""
+    block = {"enabled": False, "mode": "auto", "num_subspaces": 0,
+             "codebook_size": 256, "kmeans_iters": 12, "kmeans_sample": 4096,
+             "residual": False, "seed": 0, "overfetch": 8, "min_size": 64,
+             "drift_clip_fraction": 0.02, "drift_outlier_factor": 2.0,
+             "ivf": False, "ivf_cells": 0, "nprobe": 8, "ivf_min_size": 1024}
+    block.update(overrides)
+    return block
+
+
+#: Enabled flat int8, flat PQ, IVF over PQ, and the tier explicitly off.
+LEGACY_QUANTIZATION_BLOCKS = {
+    "int8": legacy_quantization(enabled=True, mode="int8", min_size=4),
+    "pq": legacy_quantization(enabled=True, mode="pq", min_size=4),
+    "ivf-pq": legacy_quantization(enabled=True, mode="pq", min_size=4,
+                                  ivf=True, ivf_cells=2, nprobe=1,
+                                  ivf_min_size=4),
+    "null": None,
+}
+
+
+def legacy_quantizer_state(kind: str, rows: np.ndarray):
+    """(``quantizer`` metadata entry, ``quant_*`` arrays) shaped like the
+    candidate-store state older v2 saves carried for ``rows``."""
+    n, dim = rows.shape
+    base = kind.removeprefix("ivf-")
+    if base == "int8":
+        meta = {"scale": 0.07, "added": 0, "clipped": 0}
+        arrays = {"quant_codes": np.zeros((n, dim), dtype=np.int8),
+                  "quant_zero_point": np.zeros(dim, dtype=np.float64)}
+    else:
+        subspaces = 4
+        meta = {"err_scale": 1e-8, "added": 0, "high_error": 0,
+                "num_subspaces": subspaces}
+        arrays = {"quant_codes": np.zeros((n, subspaces), dtype=np.uint8),
+                  "quant_recon_norms": np.zeros(n, dtype=np.float32)}
+        for s in range(subspaces):
+            arrays[f"quant_codebook_{s}"] = np.zeros(
+                (n, dim // subspaces), dtype=np.float64)
+    if kind.startswith("ivf-"):
+        meta["ivf"] = True
+        arrays["quant_ivf_centroids"] = rows[:2].astype(np.float64)
+        arrays["quant_ivf_assignments"] = np.arange(n, dtype=np.int64) % 2
+    return {"kind": kind, "generation": "0123456789abcdef",
+            "meta": meta}, arrays
+
+
+class TestLegacyQuantizationState:
+    """Advisor files from builds with quantized search tiers still load,
+    with their quantization config, quantizer metadata and codebook
+    arrays ignored, and serve the exact scan's bytes."""
+
+    @pytest.mark.parametrize("block", sorted(LEGACY_QUANTIZATION_BLOCKS))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_quantization_block_is_ignored(self, fitted, tmp_path, version,
+                                           block):
+        advisor, graphs, _ = fitted
+        plain = str(tmp_path / "plain.npz")
+        legacy = str(tmp_path / "legacy.npz")
+        save_advisor(advisor, plain)
+
+        def add_block(metadata):
+            assert "quantization" not in metadata["config"]
+            metadata["config"]["quantization"] = (
+                LEGACY_QUANTIZATION_BLOCKS[block])
+
+        rewrite_save(plain, legacy, version, add_block)
+        assert_serves_like(legacy, plain, graphs)
+
+    @pytest.mark.parametrize("kind", ["int8", "pq", "ivf-pq"])
+    def test_quantizer_state_is_ignored(self, fitted, tmp_path, kind):
+        advisor, graphs, _ = fitted
+        plain = str(tmp_path / "plain.npz")
+        legacy = str(tmp_path / "legacy.npz")
+        save_advisor(advisor, plain)
+        entry, arrays = legacy_quantizer_state(kind, advisor.rcs.embeddings)
+
+        def add_state(metadata):
+            assert "quantizer" not in metadata
+            metadata["config"]["quantization"] = (
+                LEGACY_QUANTIZATION_BLOCKS[kind])
+            metadata["quantizer"] = entry
+
+        rewrite_save(plain, legacy, 2, add_state, arrays)
+        assert_serves_like(legacy, plain, graphs)
+        # A resave from this build carries none of the legacy state.
+        resaved = str(tmp_path / "resaved.npz")
+        save_advisor(load_advisor(legacy), resaved)
+        with np.load(resaved) as data:
+            assert not [k for k in data.files if k.startswith("quant_")]
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        assert "quantizer" not in metadata
+        assert "quantization" not in metadata["config"]
 
 
 class TestLabelPayloads:

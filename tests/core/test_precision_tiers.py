@@ -13,7 +13,6 @@ from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.persistence import load_advisor, save_advisor
-from repro.core.serving import QuantizationConfig
 from repro.testbed.scores import DatasetLabel
 
 MODELS = ("A", "B", "C")
@@ -138,8 +137,8 @@ class TestSetDtypeTierConflict:
 
 
 class TestMixedTierServing:
-    """``serving_dtype``: float32 serving embeddings over float64 weights,
-    optionally with the int8 candidate tier — no destructive downcast."""
+    """``serving_dtype``: float32 serving embeddings over float64 weights
+    — no destructive downcast."""
 
     def test_serving_tier_is_independent_of_the_training_tier(self, corpus):
         graphs, labels = corpus
@@ -154,12 +153,8 @@ class TestMixedTierServing:
         reference = AutoCE(fast_config())
         reference.fit(graphs, labels)
         expected = [r.model for r in reference.recommend_batch(graphs, 0.9)]
-        mixed = AutoCE(fast_config(
-            serving_dtype="float32",
-            quantization=QuantizationConfig(enabled=True, min_size=8,
-                                            overfetch=4)))
+        mixed = AutoCE(fast_config(serving_dtype="float32"))
         mixed.fit(graphs, labels)
-        assert mixed.rcs.quantized is not None
         served = [r.model for r in mixed.recommend_batch(graphs, 0.9)]
         agreement = np.mean([a == b for a, b in zip(expected, served)])
         assert agreement >= 0.99
@@ -205,16 +200,16 @@ class TestMixedTierServing:
         restored = [r.model for r in advisor.recommend_batch(graphs, 0.9)]
         assert restored == expected
 
-    def test_generation_folds_the_serving_tier_and_quantization(self, corpus):
+    def test_generation_folds_the_serving_tier(self, corpus):
         graphs, labels = corpus
         advisor = AutoCE(fast_config())
         advisor.fit(graphs, labels)
         plain = advisor.embedding_generation()
         advisor.set_serving_dtype("float32")
         mixed = advisor.embedding_generation()
-        advisor.set_quantization(True)
-        quantized = advisor.embedding_generation()
-        assert len({plain, mixed, quantized}) == 3
+        assert plain != mixed
+        advisor.set_serving_dtype(None)
+        assert advisor.embedding_generation() == plain
 
     def test_mixed_tier_node_never_serves_stale_float64_cache_entries(
             self, corpus, tmp_path):
@@ -235,41 +230,29 @@ class TestMixedTierServing:
 
     def test_adapt_online_stays_on_the_serving_tier(self, corpus):
         """Online adapting re-embeds at the training tier; a mixed-tier
-        node must come back to the serving tier with its int8 codes
-        requantized for the post-adaptation geometry."""
+        node must come back to the serving tier."""
         graphs, labels = corpus
-        advisor = AutoCE(fast_config(
-            serving_dtype="float32",
-            quantization=QuantizationConfig(enabled=True, min_size=8,
-                                            overfetch=4)))
+        advisor = AutoCE(fast_config(serving_dtype="float32"))
         advisor.fit(graphs, labels)
         fresh = FeatureGraph("drifted",
                              np.full((2, 12), 9.0), np.zeros((2, 2)))
         advisor.adapt_online(fresh, labels[0], update_epochs=1)
         assert advisor.encoder.dtype == np.float64
         assert advisor.rcs.embeddings.dtype == np.float32
-        assert advisor.rcs.quantized is not None
-        assert len(advisor.rcs.quantized) == len(advisor.rcs)
+        assert len(advisor.rcs) == len(graphs) + 1
         assert advisor.recommend(graphs[0], 0.9).model in MODELS
 
-    def test_quantized_store_round_trips_through_persistence(self, corpus,
-                                                             tmp_path):
+    def test_mixed_tier_round_trips_through_persistence(self, corpus,
+                                                        tmp_path):
         graphs, labels = corpus
-        advisor = AutoCE(fast_config(
-            serving_dtype="float32",
-            quantization=QuantizationConfig(enabled=True, min_size=8,
-                                            overfetch=4)))
+        advisor = AutoCE(fast_config(serving_dtype="float32"))
         advisor.fit(graphs, labels)
         before = [r.model for r in advisor.recommend_batch(graphs, 0.9)]
         save_advisor(advisor, str(tmp_path / "advisor.npz"))
         node = load_advisor(str(tmp_path / "advisor.npz"))
         assert node.config.serving_dtype == "float32"
-        assert node.config.quantization.enabled
+        assert node.encoder.dtype == np.float64
         assert node.rcs.embeddings.dtype == np.float32
-        assert node.rcs.quantized is not None
-        np.testing.assert_array_equal(node.rcs.quantized.codes.shape,
-                                      (len(graphs),
-                                       node.encoder.embedding_dim))
         after = [r.model for r in node.recommend_batch(graphs, 0.9)]
         assert before == after
 

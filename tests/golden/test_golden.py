@@ -2,11 +2,10 @@
 
 ``corpus.npz`` freezes a small labeled corpus and a query set; the JSON
 golden file freezes the top-3 recommendation ranking per query for each
-serving path (exact / int8-quantized / PQ, plus the IVF-partitioned
-quantized tiers).  Any kernel change that silently moves a ranking —
-featurization, the GIN forward, the DML loss, a distance kernel, an IVF
-probe, a codebook — fails the diff here even when every behavioral test
-still passes.
+serving path (the exact scan).  Any kernel change that silently moves a
+ranking — featurization, the GIN forward, the DML loss, a distance
+kernel — fails the diff here even when every behavioral test still
+passes.
 
 After an *intentional* ranking change, regenerate with::
 
@@ -28,7 +27,6 @@ import pytest
 from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
-from repro.core.serving import QuantizationConfig
 from repro.testbed.scores import DatasetLabel
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -93,49 +91,15 @@ def load_corpus() -> tuple[list[FeatureGraph], list[DatasetLabel],
     return graphs, labels, queries
 
 
-def _int8_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=4)
-
-
-def _pq_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8, overfetch=4)
-
-
-def _ivf_int8_quant() -> QuantizationConfig:
-    # nprobe < cells so the probed scan genuinely engages on the frozen
-    # 48-member corpus (nprobe >= cells would delegate to the flat tier).
-    return QuantizationConfig(enabled=True, mode="int8", min_size=8,
-                              overfetch=4, ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
-def _ivf_pq_quant() -> QuantizationConfig:
-    return QuantizationConfig(enabled=True, mode="pq", num_subspaces=4,
-                              codebook_size=16, min_size=8, overfetch=4,
-                              ivf=True, ivf_cells=4, nprobe=2,
-                              ivf_min_size=8)
-
-
 def path_config(path: str) -> AutoCEConfig:
-    config = AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
-                          use_incremental=False,
-                          dml=DMLConfig(epochs=4, batch_size=12), seed=0)
-    if path == "quantized":
-        config.quantization = _int8_quant()
-    elif path == "pq":
-        config.quantization = _pq_quant()
-    elif path == "ivf-int8":
-        config.quantization = _ivf_int8_quant()
-    elif path == "ivf-pq":
-        config.quantization = _ivf_pq_quant()
-    elif path != "exact":
+    if path != "exact":
         raise ValueError(path)
-    return config
+    return AutoCEConfig(hidden_dim=16, embedding_dim=8, knn_k=3,
+                        use_incremental=False,
+                        dml=DMLConfig(epochs=4, batch_size=12), seed=0)
 
 
-PATHS = ("exact", "quantized", "pq", "ivf-int8", "ivf-pq")
+PATHS = ("exact",)
 
 
 def compute_top3(path: str) -> list[list[str]]:

@@ -68,3 +68,18 @@ class TestIterBatches:
         with os.fdopen(read_fd, "r") as reader:
             batches = list(iter_batches(reader, config))
         assert batches == [["a", "b", "c"]]
+
+
+@pytest.mark.parametrize("max_batch", [1, 2, 7, 16])
+@pytest.mark.parametrize("lines", [0, 1, 5, 16, 17, 40])
+def test_buffered_stream_fills_every_batch_but_the_last(lines, max_batch):
+    """A fully buffered stream is cut into full batches of ``max_batch``
+    and one final remainder, in arrival order, with nothing dropped."""
+    paths = [f"ds-{i}.npz" for i in range(lines)]
+    stream = io.StringIO("".join(f"{p}\n" for p in paths))
+    batches = list(iter_batches(stream, BatchingConfig(max_batch=max_batch,
+                                                       window_ms=0)))
+    assert [p for batch in batches for p in batch] == paths
+    assert all(len(batch) == max_batch for batch in batches[:-1])
+    assert all(0 < len(batch) <= max_batch for batch in batches)
+    assert len(batches) == -(-lines // max_batch)

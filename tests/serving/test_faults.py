@@ -1,6 +1,6 @@
-"""The fault-injection harness itself, and the storage/embedding faults it
-drives: torn and corrupted cache entries, NaN embeddings entering the RCS,
-and stale generation stamps."""
+"""The fault-injection harness itself, and the storage faults it drives —
+torn and corrupted cache entries, stale generation stamps — and NaN
+embeddings entering the RCS."""
 
 from __future__ import annotations
 
@@ -20,51 +20,59 @@ def score_label(seed=0):
     return ScoreLabel(MODELS, rng.uniform(size=3), rng.uniform(size=3))
 
 
+BLOB = bytes(range(256)) * 4
+
+
 class TestFaultPlanSchedule:
-    def test_empty_plan_injects_nothing(self):
+    def test_empty_plan_injects_nothing(self, tmp_path):
         plan = FaultPlan()
-        assert not plan.should_kill(0, 1, 0)
-        assert plan.sleep_seconds(0, 1, 0) == 0.0
-        assert not plan.scramble_tier(0, 1, 0)
-        queries = np.ones((2, 3))
-        assert plan.poison_embeddings(queries, 1) is queries
+        assert plan.stale_generation is None
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        plan.tear_file(empty)
+        plan.corrupt_file(empty)
+        assert empty.read_bytes() == b""
+        # A plan keeping every byte and flipping none leaves a file intact.
+        blob = tmp_path / "blob"
+        blob.write_bytes(BLOB)
+        idle = FaultPlan(tear_fraction=1.0, corrupt_bytes=0)
+        idle.tear_file(blob)
+        idle.corrupt_file(blob)
+        assert blob.read_bytes() == BLOB
 
-    def test_kill_targets_the_first_incarnation_only(self):
-        plan = FaultPlan(kill_at={1: 3})
-        assert plan.should_kill(1, 3, incarnation=0)
-        assert not plan.should_kill(1, 3, incarnation=1)  # restarted: clean
-        assert not plan.should_kill(1, 2, incarnation=0)
-        assert not plan.should_kill(0, 3, incarnation=0)
-
-    def test_kill_always_hits_every_incarnation(self):
-        plan = FaultPlan(kill_always=frozenset({2}))
-        for incarnation in range(4):
-            assert plan.should_kill(2, 1, incarnation)
-
-    def test_slow_targets_one_request_of_the_first_incarnation(self):
-        plan = FaultPlan(slow_at={0: (2, 0.5)})
-        assert plan.sleep_seconds(0, 2, 0) == 0.5
-        assert plan.sleep_seconds(0, 1, 0) == 0.0
-        assert plan.sleep_seconds(0, 2, 1) == 0.0
-
-    def test_poison_is_seeded_and_copy_on_write(self):
-        plan = FaultPlan(seed=9, poison_embedding_at=frozenset({1}))
-        clean = np.ones((4, 6))
-        poisoned = plan.poison_embeddings(clean, 1)
-        assert np.isfinite(clean).all()          # original untouched
-        assert not np.isfinite(poisoned).all()
-        again = plan.poison_embeddings(np.ones((4, 6)), 1)
-        np.testing.assert_array_equal(
-            np.isfinite(poisoned), np.isfinite(again))
-
-    def test_plan_pickles(self):
+    def test_plan_pickles(self, tmp_path):
         import pickle
 
-        plan = FaultPlan(seed=3, kill_at={1: 2}, slow_at={0: (1, 0.1)},
-                         kill_always=frozenset({4}))
+        plan = FaultPlan(seed=3, tear_fraction=0.25, corrupt_bytes=5,
+                         stale_generation="weights-v0")
         clone = pickle.loads(pickle.dumps(plan))
-        assert clone.kill_at == {1: 2}
-        assert clone.should_kill(4, 9, 3)
+        assert clone == plan
+        payloads = []
+        for run, fault in enumerate((plan, clone)):
+            path = tmp_path / f"blob{run}"
+            path.write_bytes(BLOB)
+            fault.corrupt_file(path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.99, 1.0])
+    def test_tear_keeps_the_leading_fraction(self, tmp_path, fraction):
+        path = tmp_path / "blob"
+        path.write_bytes(BLOB)
+        FaultPlan(tear_fraction=fraction).tear_file(path)
+        assert path.read_bytes() == BLOB[:int(len(BLOB) * fraction)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corrupt_flips_at_most_the_planned_bytes(self, tmp_path, seed):
+        path = tmp_path / "blob"
+        path.write_bytes(BLOB)
+        FaultPlan(seed=seed, corrupt_bytes=8).corrupt_file(path)
+        data = path.read_bytes()
+        assert len(data) == len(BLOB)
+        changed = [i for i, (a, b) in enumerate(zip(data, BLOB)) if a != b]
+        # A position drawn twice flips back, so at most 8 bytes differ.
+        assert 0 < len(changed) <= 8
+        assert all(data[i] == BLOB[i] ^ 0xFF for i in changed)
 
 
 class TestTornAndCorruptCacheEntries:

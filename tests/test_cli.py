@@ -136,60 +136,19 @@ class TestLabelAndRecommend:
                      "--dtype", "float32"]) == 0
         assert f"-> {model}" in capsys.readouterr().out
 
-    def test_serve_mixed_tier_with_int8_candidates(self, advisor_file,
-                                                   dataset_file, capsys):
+    def test_serve_mixed_tier_keeps_the_pick(self, advisor_file,
+                                             dataset_file, capsys):
         assert main(["recommend", dataset_file, "--advisor",
                      advisor_file]) == 0
         recommended = [line for line in capsys.readouterr().out.splitlines()
                        if line.startswith("recommended model:")][0]
         model = recommended.split(":")[1].strip()
         code = main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--serving-dtype", "float32", "--quantize"])
+                     "--serving-dtype", "float32"])
         assert code == 0
         out = capsys.readouterr().out
         assert f"-> {model}" in out
         assert "float32 tier over float64 weights" in out
-        # The tiny CLI-test corpus sits below the quantization floor, so
-        # the int8 tier stays detached — the flag must still be accepted
-        # and reported truthfully.
-        assert "int8 candidates" not in out
-
-    def test_serve_quantize_accepts_a_layout_pin(self, advisor_file,
-                                                 dataset_file, capsys):
-        code = main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--serving-dtype", "float32", "--quantize", "pq"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 1 recommendations" in out
-        # Below the attach floor the tier stays detached — the pinned
-        # layout must still be accepted and reported truthfully.
-        assert "pq candidates" not in out
-
-    def test_serve_ivf_flag_attaches_the_ivf_tier(self, advisor_file,
-                                                  dataset_file, tmp_path,
-                                                  capsys):
-        from repro.core.persistence import load_advisor, save_advisor
-        from repro.core.serving import QuantizationConfig
-
-        # The shared CLI advisor sits below the default attach floor;
-        # lower it so the --ivf knob has a corpus to partition.
-        advisor = load_advisor(advisor_file)
-        advisor.config.quantization = QuantizationConfig(
-            enabled=False, mode="int8", min_size=4, ivf_min_size=4)
-        low_floor = str(tmp_path / "advisor-low-floor.npz")
-        save_advisor(advisor, low_floor)
-        code = main(["serve", dataset_file, "--advisor", low_floor,
-                     "--ivf", "4", "--nprobe", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 1 recommendations" in out
-        assert "ivf-int8 candidates" in out
-
-    def test_serve_quantize_rejects_an_unknown_layout(self, advisor_file,
-                                                      dataset_file):
-        with pytest.raises(SystemExit):
-            main(["serve", dataset_file, "--advisor", advisor_file,
-                  "--quantize", "product"])
 
     def test_serve_refuses_upcasting_a_float32_advisor(self, advisor_file,
                                                        dataset_file,
@@ -304,6 +263,43 @@ class TestRecommendUserErrors:
         self.assert_user_error(code, capsys, "--k")
 
 
+class TestOtherSubcommandUserErrors:
+    """User error on `generate`, `label`, `train` and batch `serve` is one
+    stderr line and exit 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def dataset_file(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("user_errors") / "ds.npz")
+        assert main(["generate", "--seed", "3", "--out", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["generate", "--out", "/nonexistent/dir/x.npz"], "cannot write"),
+        (["label", "/nonexistent/missing.npz", "--fast"],
+         "cannot load dataset"),
+        (["label", "{dataset}", "--fast", "--weight", "7"], "--weight"),
+        (["train", "--corpus", "0", "--fast"], "--corpus"),
+        (["train", "--corpus", "2", "--fast", "--cache", "{cache}",
+          "--out", "/nonexistent/dir/advisor.npz"], "cannot write"),
+        (["serve", "{dataset}", "/nonexistent/missing.npz",
+          "--advisor", "/nonexistent/advisor.npz"], "cannot load dataset"),
+    ], ids=["generate-unwritable-out", "label-missing-dataset",
+            "label-weight-out-of-range", "train-empty-corpus",
+            "train-unwritable-out", "serve-missing-dataset"])
+    def test_one_line_and_exit_2(self, dataset_file, tmp_path, capsys, argv,
+                                 fragment):
+        capsys.readouterr()
+        argv = [arg.format(dataset=dataset_file, cache=tmp_path / "labels")
+                for arg in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ") and fragment in lines[0]
+        assert "Traceback" not in captured.err
+
+
 class TestModels:
     def test_lists_registry(self, capsys):
         assert main(["models"]) == 0
@@ -312,8 +308,8 @@ class TestModels:
 
 
 class TestServeFaultTolerance:
-    """`repro serve` robustness: readable failures, sharded serving with
-    deadlines, daemon mode, and the degraded-storage report."""
+    """`repro serve` robustness: readable failures, daemon mode, and the
+    degraded-storage report."""
 
     @pytest.fixture(scope="class")
     def dataset_files(self, tmp_path_factory):
@@ -366,58 +362,13 @@ class TestServeFaultTolerance:
         assert code == 2
         assert "no datasets" in capsys.readouterr().err
 
-    def test_sharded_serving_matches_in_process(self, advisor_file,
-                                                dataset_files, capsys):
-        assert main(["serve", *dataset_files, "--advisor", advisor_file]) == 0
-        single = capsys.readouterr().out
-        assert main(["serve", *dataset_files, "--advisor", advisor_file,
-                     "--shards", "2", "--deadline-ms", "30000"]) == 0
-        sharded = capsys.readouterr().out
-        picks = lambda out: [line for line in out.splitlines()
-                             if "->" in line]
-        assert picks(sharded) == picks(single)
-        assert "served 2 recommendations" in sharded
-        assert "latency: p50" in sharded
-        assert "shard 0:" in sharded and "shard 1:" in sharded
-        assert "restarts=0" in sharded
-
-    def test_latency_split_reports_degraded_separately(
-            self, advisor_file, dataset_files, capsys, monkeypatch):
-        """Regression: degraded (early-return) responses used to be pooled
-        into the same percentiles as healthy ones, dragging p50/p95 down
-        and masking healthy-path regressions."""
-        from repro.serving.supervisor import ShardedServer
-
-        real = ShardedServer.recommend_batch
-        calls = {"n": 0}
-
-        def degrade_first(self, datasets, **kwargs):
-            recs = real(self, datasets, **kwargs)
-            calls["n"] += 1
-            if calls["n"] == 1:
-                for rec in recs:
-                    rec.degraded = True
-                    rec.coverage = 0.5
-            return recs
-
-        monkeypatch.setattr(ShardedServer, "recommend_batch", degrade_first)
-        code = main(["serve", *dataset_files, "--advisor", advisor_file,
-                     "--shards", "2", "--deadline-ms", "30000"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "(1 degraded)" in out
-        assert "latency (healthy): p50" in out
-        assert "latency (degraded): p50" in out
-        assert "latency: p50" not in out
-
     def test_daemon_serves_stdin_paths_and_reports_bad_ones(
             self, advisor_file, dataset_files, capsys, monkeypatch):
         import io
 
         lines = f"{dataset_files[0]}\n\n/no/such/dataset.npz\n{dataset_files[1]}\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        code = main(["serve", "--daemon", "--advisor", advisor_file,
-                     "--shards", "2"])
+        code = main(["serve", "--daemon", "--advisor", advisor_file])
         assert code == 0
         captured = capsys.readouterr()
         assert "served 2 recommendations" in captured.out
