@@ -9,9 +9,6 @@ three advisor stages the perf PR targets:
   corpus tensor cache (``GraphTensorBatcher``), one epoch at batch_size=32;
 * ``recommend_batch``   — 100 sequential ``recommend`` calls (embedding
   cache off) vs one ``recommend_batch`` over repeat traffic;
-* ``persistent_cache``  — a serving node killed and reloaded from
-  ``load_advisor``: first repeat query must come from the disk tier of the
-  embedding cache with **zero** GIN forwards;
 * ``float32_epoch``     — the float64 fast path vs the float32 precision
   tier: one DML epoch (tensor cache + fused GIN/loss/Adam at each dtype)
   and batched serving, with the recommendation agreement between tiers;
@@ -333,65 +330,6 @@ def bench_float32_epoch(repeats: int, epochs_per_run: int = 20) -> dict:
             "recommendation_agreement": agreement}
 
 
-def bench_persistent_cache(repeats: int, tmp_root: Path | None = None) -> dict:
-    """Kill-and-reload serving-node warm start from the persistent cache.
-
-    Fits an advisor with a disk-backed embedding cache, serves a batch once
-    (populating the cache), saves the advisor, *discards the process state*
-    (fresh ``load_advisor``, as after a node restart) and replays the same
-    traffic.  The replay must hit the disk tier without a single GIN
-    forward; the bench also times cold vs warm serving.
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.persistence import load_advisor, save_advisor
-
-    workdir = Path(tempfile.mkdtemp(dir=tmp_root))
-    try:
-        graphs, labels = synthetic_corpus(64)
-        queries = graphs[:32]
-        advisor = AutoCE(AutoCEConfig(
-            hidden_dim=32, embedding_dim=16, use_incremental=False,
-            embedding_cache_dir=str(workdir / "emb-cache"),
-            dml=DMLConfig(epochs=2, batch_size=32), seed=0))
-        advisor.fit(graphs, labels)
-
-        start = time.perf_counter()
-        cold = advisor.recommend_batch(queries, 0.9)
-        cold_s = time.perf_counter() - start
-        save_advisor(advisor, str(workdir / "advisor.npz"))
-        del advisor                              # "kill" the serving node
-
-        reloaded = load_advisor(str(workdir / "advisor.npz"))
-        forwards = {"n": 0}
-        original_embed = reloaded.encoder.embed
-
-        def counting_embed(batch):
-            forwards["n"] += 1
-            return original_embed(batch)
-
-        reloaded.encoder.embed = counting_embed
-        start = time.perf_counter()
-        warm = reloaded.recommend_batch(queries, 0.9)
-        warm_s = time.perf_counter() - start
-        best = warm_s
-        for _ in range(repeats - 1):
-            start = time.perf_counter()
-            reloaded.recommend_batch(queries, 0.9)
-            best = min(best, time.perf_counter() - start)
-        assert [r.model for r in cold] == [r.model for r in warm], \
-            "warm-started serving diverged from the original node"
-        cache = reloaded.embedding_cache
-        return {"queries": len(queries),
-                "gin_forwards_after_reload": forwards["n"],
-                "first_query_from_disk": cache.disk_hits > 0,
-                "cold_s": cold_s, "after_s": best, "before_s": cold_s,
-                "speedup": cold_s / best}
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 def bench_daemon_microbatch(repeats: int, rcs_size: int = 8192,
                             num_requests: int = 128, k: int = 5) -> dict:
     """The daemon stream: serial one-request-at-a-time loop vs the
@@ -457,7 +395,6 @@ BENCHES = {
     "featurize_corpus": bench_featurize,
     "dml_epoch": bench_dml_epoch,
     "recommend_batch": bench_recommend_batch,
-    "persistent_cache": bench_persistent_cache,
     "float32_epoch": bench_float32_epoch,
     "daemon_microbatch": bench_daemon_microbatch,
     "e2e_advisor_loop": bench_e2e_loop,

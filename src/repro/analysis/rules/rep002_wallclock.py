@@ -18,15 +18,13 @@ _WALLCLOCK = frozenset({
 })
 
 #: Modules (paths inside src/repro) whose *contract* is to measure time:
-#: the timing utility, the latency metrics/labeling harness, the daemon's
-#: micro-batch window, and the latency experiments/simulators.  Everything
+#: the latency labeling harness, the daemon's micro-batch window, plan
+#: execution, the provider layer's estimator timing and the online-learning
+#: latency experiment.  Each reads a clock (a test keeps it so); everything
 #: else needs a per-line pragma.
 DEFAULT_ALLOWLIST = frozenset({
-    "utils/timing.py",
-    "testbed/metrics.py",
     "testbed/runner.py",
     "serving/batching.py",
-    "engine/e2e.py",
     "engine/execution.py",
     "engine/providers.py",
     "experiments/fig12_online_learning.py",
@@ -40,14 +38,13 @@ class WallclockRule(Rule):
     contract = """\
 time.time / time.perf_counter / time.monotonic (and _ns variants,
 process_time, datetime.now/utcnow/today) are confined to the modules
-whose job is timing: utils/timing.py, testbed/metrics.py,
-testbed/runner.py (latency labeling), serving/batching.py (the
-micro-batch window), and the latency experiments (engine/e2e.py,
-engine/execution.py, engine/providers.py —
-the provider layer times every estimator source call —
-fig12_online_learning.py).  Anywhere else a clock read is either dead
-weight or — worse — feeding a value that varies run to run into a path
-the determinism matrix believes is pure."""
+whose job is timing: testbed/runner.py (latency labeling),
+serving/batching.py (the micro-batch window), engine/execution.py (plan
+execution time), engine/providers.py (the provider layer times every
+estimator source call) and experiments/fig12_online_learning.py.
+Anywhere else a clock read is either dead weight or — worse — feeding a
+value that varies run to run into a path the determinism matrix believes
+is pure."""
     rationale = """\
 Batch windows and latency measurements are legitimately wall-clock
 driven.  Keeping the clock reads inside the declared timing modules

@@ -42,14 +42,14 @@ np.ones, np.empty, np.full, np.eye, np.identity — must name its dtype
 explicitly (dtype=np.float64 when full precision is the point,
 dtype=x.dtype when the tier must follow an input).  `.astype(float)`,
 dtype=float and bare np.float64(...) conversions are flagged outright:
-`float` is float64 spelled so quietly that the mixed-tier audit cannot
+`float` is float64 spelled so quietly that a dtype-tier audit cannot
 see it.  Tier-preserving constructors (np.asarray, np.atleast_2d,
 np.zeros_like, ...) are exempt, and an explicit dtype=np.float64 is
 always legal — the contract is about *stated* intent, not about banning
 the reference tier."""
     rationale = """\
-The precision ladder is float32 end-to-end and float32 serving over
-float64 weights.  The agreement and golden matrices pin those paths
+The precision ladder is float64 (the reference) and float32
+end-to-end.  The agreement and golden matrices pin those paths
 bit-for-bit, and the bug
 class they kept catching by hand was a kernel quietly materializing a
 float64 intermediate inside a float32 path.  An array constructor with

@@ -16,9 +16,9 @@ Wires the library's offline/online workflow into five commands:
     and the full ranking — Stage 4.
 ``serve``
     Batch-serve recommendations for many datasets from one advisor:
-    parallel featurization, a persistent embedding cache that survives
-    process restarts, one exact neighbor scan per batch, and a stdin
-    daemon that coalesces requests into micro-batches.
+    serial featurization, an in-memory embedding cache, one exact
+    neighbor scan per batch at the advisor's dtype, and a stdin daemon
+    that coalesces requests into micro-batches.
 ``experiment``
     Re-run one of the paper's evaluation-section experiments and print its
     table.
@@ -38,7 +38,6 @@ import argparse
 import os
 import sys
 import zipfile
-from pathlib import Path
 
 import numpy as np
 
@@ -179,6 +178,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     if args.corpus < 1:
         return _cli_error(f"--corpus must be >= 1 (got {args.corpus})")
+    # Labeling and training take minutes; an unusable --out must fail
+    # before they start, not when the advisor is saved.
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        return _cli_error(f"cannot write {args.out!r}: {out_dir!r} is not "
+                          "a writable directory")
     testbed = fast_testbed_config(args.seed) if args.fast else TestbedConfig(seed=args.seed)
     config = CorpusConfig(num_datasets=args.corpus, base_seed=args.seed,
                           testbed=testbed)
@@ -239,49 +244,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         advisor = load_advisor(args.advisor)
     except AdvisorLoadError as error:
         return _cli_error(str(error))
-    if args.cache_dir:
-        # Fail fast with a readable message when the cache directory cannot
-        # be used, instead of a traceback mid-serve.
-        try:
-            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-            if not os.access(args.cache_dir, os.W_OK | os.X_OK):
-                raise OSError("directory is not writable")
-        except OSError as error:
-            return _cli_error(
-                f"cache dir {args.cache_dir!r} is unusable: {error}")
-    if args.dtype:
-        # Destructive full-tier cast (weights included); raises on an
-        # upcast attempt against the persisted tier.
-        advisor.set_dtype(args.dtype)
-    if args.serving_dtype:
-        # Mixed-tier mode: serving embeddings move to this tier while the
-        # encoder keeps its trained precision.
-        advisor.set_serving_dtype(args.serving_dtype)
-    advisor.config.featurize_workers = args.workers
-    if args.cache_dir:
-        # Write-through disk tier: a restarted node warm-starts from here
-        # and skips the GIN forward for every dataset it has served before.
-        advisor.config.embedding_cache_dir = args.cache_dir
 
     served = _serve_requests(args, advisor, datasets)
     print(f"served {served} recommendations (w_a = {args.weight})")
     cache = advisor.embedding_cache
     if cache is not None:
-        tier = ("persistent" if args.cache_dir else "in-memory")
-        line = (f"embedding cache ({tier}): {cache.hits} hits / "
-                f"{cache.misses} misses")
-        if args.cache_dir:
-            line += f" ({cache.disk_hits} served from disk)"
-        print(line)
-        failures = getattr(cache, "storage_failures", 0)
-        if failures:
-            print(f"degraded storage: {failures} embedding-cache writes "
-                  "failed (entries are recomputed instead of persisted)")
-    tier = f"{advisor.serving_dtype.name} tier"
-    if advisor.config.serving_dtype:
-        tier += f" over {advisor.config.dtype} weights"
+        print(f"embedding cache (in-memory): {cache.hits} hits / "
+              f"{cache.misses} misses")
     print(f"neighbor search: exact over {len(advisor.rcs)} RCS members "
-          f"({tier})")
+          f"({advisor.config.dtype} tier)")
     return 0
 
 
@@ -432,22 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accuracy weight w_a in [0, 1]")
     p.add_argument("--k", type=int, default=None,
                    help="KNN neighbours (default: the advisor's k)")
-    p.add_argument("--cache-dir", default=None,
-                   help="persistent embedding-cache directory (survives "
-                        "restarts; invalidated when the encoder changes)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="featurization threads (0 = one per CPU, 1 = serial)")
-    p.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                   help="destructively cast the whole advisor (weights "
-                        "included) to this tier; upcasting a float32-saved "
-                        "advisor is refused — prefer --serving-dtype for "
-                        "serving-only casts")
-    p.add_argument("--serving-dtype", choices=("float64", "float32"),
-                   default=None,
-                   help="mixed-tier mode: serve RCS and query embeddings at "
-                        "this tier while the encoder keeps its trained "
-                        "precision (e.g. float32 serving over float64 "
-                        "weights)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("experiment",

@@ -64,6 +64,15 @@ _RAW_LABEL_FIELDS = ("qerror_means", "latency_means", "qerror_medians",
                      "fit_times", "qerror_p95", "qerror_p99")
 
 
+#: Config keys older builds saved for features this build no longer has
+#: (LSH and quantized search tiers; the disk embedding cache, featurize
+#: thread pool, mixed serving tier and row-sampling featurizer).  Loading
+#: drops them unread, so those files keep loading.
+_REMOVED_CONFIG_KEYS = ("ann", "quantization", "embedding_cache_dir",
+                        "featurize_workers", "serving_dtype",
+                        "featurize_sample_rows")
+
+
 def _config_to_dict(config: AutoCEConfig) -> dict:
     return asdict(config)
 
@@ -75,14 +84,8 @@ def _config_from_dict(payload: dict) -> AutoCEConfig:
     dml["weights"] = tuple(dml["weights"])
     payload["dml"] = DMLConfig(**dml)
     payload["incremental"] = IncrementalConfig(**payload["incremental"])
-    # Advisors saved before the scale-out serving fields existed load with
-    # the defaults (in-memory cache only, the dtype tier default).  Saves
-    # from builds with LSH search carry an ``ann`` block, and saves from
-    # builds with quantized search tiers a ``quantization`` block (each a
-    # dict, or null); search is always exact now, so both are dropped
-    # unread.
-    payload.pop("ann", None)
-    payload.pop("quantization", None)
+    for key in _REMOVED_CONFIG_KEYS:
+        payload.pop(key, None)
     return AutoCEConfig(**payload)
 
 
@@ -230,12 +233,16 @@ def _load_advisor(path: str) -> AutoCE:
                          edges=data[f"graph_{i}_edges"])
             for i, name in enumerate(metadata["graph_names"])
         ]
-        # RCS embeddings were saved at the serving tier (which the config
-        # round-trips), so the reloaded node serves the exact same rows.
         # Legacy quantizer state (the ``quantizer`` metadata entry and the
         # ``quant_*`` arrays) is never read.
-        advisor.rcs = RecommendationCandidateSet(
-            data["rcs_embeddings"], list(advisor._labels))
+        rows = data["rcs_embeddings"]
+    if rows.dtype == advisor.encoder.dtype:
+        advisor.rcs = RecommendationCandidateSet(rows, list(advisor._labels))
+    else:
+        # A save from a build with a mixed serving tier holds its RCS rows
+        # at that tier; re-embed them at the advisor's own dtype so the
+        # node serves what a plain save of the same weights serves.
+        advisor._rebuild_rcs()
 
     advisor.trainer = DMLTrainer(advisor.encoder, config.dml)
     return advisor

@@ -1,6 +1,6 @@
 """Precision-tier-aware serving kernels (Sec. V-D fast path).
 
-The float substrate every serving tier stands on: dtype-preserving
+The float substrate of the serving path at either dtype: dtype-preserving
 matrix coercion, finiteness validation at the serving boundary, the
 Gram-identity distance kernel ``‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b``,
 argpartition top-k selection with lowest-index tie-breaking, and the

@@ -1,17 +1,14 @@
 """Deterministic storage fault injection for persistence and cache tests.
 
-Every storage failure the advisor file and the embedding caches claim to
-survive — a torn write, flipped bytes, a stale cache generation — is
-reproducible from one seeded :class:`FaultPlan`: the helpers derive all
-randomness from the plan seed, so a fault drill replays bit-identically
-on every run.
+Every storage failure the advisor file and the disk cache claim to
+survive — a torn write, flipped bytes — is reproducible from one seeded
+:class:`FaultPlan`: the helpers derive all randomness from the plan seed,
+so a fault drill replays bit-identically on every run.
 
 * :meth:`FaultPlan.tear_file` truncates a file mid-payload (a torn write
   surviving a crash).
 * :meth:`FaultPlan.corrupt_file` flips seeded bytes in place (bit rot,
   bad sector).
-* :attr:`FaultPlan.stale_generation` is a wrong cache-generation stamp
-  for stale-generation drills.
 """
 
 from __future__ import annotations
@@ -31,9 +28,6 @@ class FaultPlan:
     tear_fraction: float = 0.5
     #: Bytes flipped by :meth:`corrupt_file`.
     corrupt_bytes: int = 8
-    #: A wrong cache-generation stamp for stale-generation drills (None =
-    #: fault disabled).
-    stale_generation: str | None = None
 
     def tear_file(self, path: str | Path) -> None:
         """Truncate ``path`` to ``tear_fraction`` of its bytes: the torn

@@ -6,13 +6,17 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import ModuleSource, run_check
 from repro.analysis.rules import all_rules, rule_by_id
 from repro.analysis.rules.rep001_rng import UnseededRngRule
-from repro.analysis.rules.rep002_wallclock import WallclockRule
+from repro.analysis.rules.rep002_wallclock import (DEFAULT_ALLOWLIST,
+                                                   WallclockRule)
 from repro.analysis.rules.rep003_dtype import DtypePromotionRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PACKAGE = Path(__file__).parents[2] / "src" / "repro"
 
 
 def check_source(rule, source: str, module_rel: str | None = None):
@@ -85,9 +89,20 @@ class TestRep002:
             start = time.perf_counter()
             """
         assert check_source(WallclockRule(), source,
-                            module_rel="utils/timing.py") == []
+                            module_rel="testbed/runner.py") == []
         assert len(check_source(WallclockRule(), source,
                                 module_rel="core/serving/store.py")) == 1
+
+    @pytest.mark.parametrize("module_rel", sorted(DEFAULT_ALLOWLIST))
+    def test_allowlist_entry_reads_a_clock(self, module_rel):
+        # A stale entry would silently exempt any clock read added later.
+        path = PACKAGE / module_rel
+        assert path.is_file(), f"allowlisted {module_rel} does not exist"
+        module = ModuleSource.from_text(path.read_text(), path=str(path),
+                                        module_rel=module_rel)
+        findings = list(WallclockRule(allowlist=frozenset())
+                        .check_module(module))
+        assert findings, f"allowlisted {module_rel} reads no clock"
 
     def test_from_import_alias_is_resolved(self):
         findings = check_source(WallclockRule(), """\

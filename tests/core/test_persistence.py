@@ -318,6 +318,70 @@ class TestLegacyQuantizationState:
         assert "quantization" not in metadata["config"]
 
 
+#: Serving-knob config keys older builds saved, one legacy value each.
+LEGACY_SERVING_KNOBS = {
+    "embedding_cache_dir": "/var/cache/autoce",
+    "featurize_workers": 4,
+    "serving_dtype": "float64",
+    "featurize_sample_rows": 5000,
+}
+
+
+class TestLegacyServingKnobs:
+    """Advisor files from builds with a disk embedding cache, a featurize
+    thread pool, a mixed serving tier or a row-sampling featurizer still
+    load, and serve what a plain float64 save serves."""
+
+    @staticmethod
+    def load_and_compare(fitted, tmp_path, version, knobs, rows_dtype=None):
+        advisor, graphs, _ = fitted
+        plain = str(tmp_path / "plain.npz")
+        legacy = str(tmp_path / "legacy.npz")
+        save_advisor(advisor, plain)
+
+        def add_knobs(metadata):
+            for key in knobs:
+                assert key not in metadata["config"]
+            metadata["config"].update(knobs)
+
+        extra = None
+        if rows_dtype is not None:
+            extra = {"rcs_embeddings":
+                     advisor.rcs.embeddings.astype(rows_dtype)}
+        rewrite_save(plain, legacy, version, add_knobs, extra)
+        assert_serves_like(legacy, plain, graphs)
+        node = load_advisor(legacy)
+        assert node.rcs.embeddings.dtype == np.float64
+        assert (node.rcs.embeddings.tobytes()
+                == advisor.rcs.embeddings.tobytes())
+        # A resave from this build carries none of the removed keys.
+        resaved = str(tmp_path / "resaved.npz")
+        save_advisor(node, resaved)
+        with np.load(resaved) as data:
+            metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        assert not set(LEGACY_SERVING_KNOBS) & set(metadata["config"])
+
+    @pytest.mark.parametrize("key", sorted(LEGACY_SERVING_KNOBS))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_each_removed_key_alone(self, fitted, tmp_path, version, key):
+        self.load_and_compare(fitted, tmp_path, version,
+                              {key: LEGACY_SERVING_KNOBS[key]})
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_all_four_keys_together(self, fitted, tmp_path, version):
+        self.load_and_compare(fitted, tmp_path, version,
+                              dict(LEGACY_SERVING_KNOBS))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_mixed_tier_file_re_embeds_its_rcs(self, fitted, tmp_path,
+                                               version):
+        """float32 RCS rows over float64 weights, as a mixed-tier save
+        wrote them: the rows are re-embedded at float64 on load."""
+        self.load_and_compare(fitted, tmp_path, version,
+                              {"serving_dtype": "float32"},
+                              rows_dtype=np.float32)
+
+
 class TestLabelPayloads:
     def test_score_label_round_trip(self):
         label = ScoreLabel(MODELS, sa=[1.0, 0.5, 0.0], se=[0.0, 0.5, 1.0])

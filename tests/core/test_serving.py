@@ -1,5 +1,6 @@
-"""Scale-out serving: persistent embedding cache, parallel featurization,
-drift-detector degenerate cases, and the killed-and-reloaded node path."""
+"""Serving: the in-memory embedding cache and its counters, input
+checks at the advisor's entry points, the exact index, and drift-detector
+degenerate cases."""
 
 from __future__ import annotations
 
@@ -10,13 +11,11 @@ from repro.core.advisor import AutoCE, AutoCEConfig
 from repro.core.dml import DMLConfig
 from repro.core.graph import FeatureGraph
 from repro.core.online import DriftDetector
-from repro.core.persistence import load_advisor, save_advisor
 from repro.core.serving import (ExactIndex, RecommendationCandidateSet,
                                 exact_search)
 from repro.datagen.multi_table import generate_dataset
 from repro.datagen.spec import random_spec
 from repro.testbed.scores import DatasetLabel
-from repro.utils.cache import PersistentLRUCache
 
 MODELS = ("A", "B", "C")
 
@@ -45,51 +44,24 @@ def fast_config(**overrides):
 
 
 class TestPersistentServingCache:
-    def test_reloaded_node_serves_repeats_without_gin_forward(self, tmp_path):
-        graphs, labels = tiny_corpus()
-        advisor = AutoCE(fast_config(
-            embedding_cache_dir=str(tmp_path / "emb")))
-        advisor.fit_graphs(graphs, labels)
-        first = advisor.recommend_batch(graphs[:6], 0.9)   # populates disk
-        save_advisor(advisor, str(tmp_path / "advisor.npz"))
-        del advisor                                        # node killed
+    """Repeat traffic is served from the in-memory LRU; retraining must
+    empty it."""
 
-        reloaded = load_advisor(str(tmp_path / "advisor.npz"))
-        forwards = []
-        original = reloaded.encoder.embed
-        reloaded.encoder.embed = lambda batch: forwards.append(len(batch)) or original(batch)
-        replay = reloaded.recommend_batch(graphs[:6], 0.9)
-        assert forwards == []                              # zero GIN forwards
-        assert isinstance(reloaded.embedding_cache, PersistentLRUCache)
-        assert reloaded.embedding_cache.disk_hits == 6
-        assert [r.model for r in replay] == [r.model for r in first]
-        for a, b in zip(replay, first):
-            np.testing.assert_allclose(a.score_vector, b.score_vector)
-
-    def test_retraining_invalidates_persistent_entries(self, tmp_path):
+    def test_retraining_invalidates_persistent_entries(self):
         graphs, labels = tiny_corpus()
-        advisor = AutoCE(fast_config(
-            embedding_cache_dir=str(tmp_path / "emb")))
+        advisor = AutoCE(fast_config())
         advisor.fit_graphs(graphs, labels)
         advisor.recommend(graphs[0], 0.9)
-        generation = advisor.embedding_generation()
+        assert len(advisor.embedding_cache) == 1
         advisor.adapt_online(graphs[1], labels[1], update_epochs=1)
-        assert advisor.embedding_generation() != generation
+        assert len(advisor.embedding_cache) == 0
         # The old entry must not be served under the new encoder.
         forwards = []
         original = advisor.encoder.embed
         advisor.encoder.embed = lambda batch: forwards.append(len(batch)) or original(batch)
-        advisor.recommend(graphs[0], 0.9)
+        served = advisor.embed(graphs[0])
         assert forwards == [1]
-
-    def test_generation_is_weight_content_hash(self, tmp_path):
-        graphs, labels = tiny_corpus()
-        a = AutoCE(fast_config()).fit_graphs(graphs, labels)
-        b = AutoCE(fast_config()).fit_graphs(graphs, labels)
-        assert a.embedding_generation() == b.embedding_generation()
-        b.encoder.parameters()[0].data[0] += 1e-9
-        b._generation = None
-        assert a.embedding_generation() != b.embedding_generation()
+        assert served.tobytes() == original([graphs[0]])[0].tobytes()
 
     def test_in_memory_default_unchanged(self):
         graphs, labels = tiny_corpus()
@@ -98,34 +70,104 @@ class TestPersistentServingCache:
         advisor.recommend(graphs[0], 0.9)
         advisor.recommend(graphs[0], 0.9)
         assert advisor.embedding_cache.hits == 1
-        assert not isinstance(advisor.embedding_cache, PersistentLRUCache)
 
 
-class TestParallelFeaturize:
-    def test_threaded_featurization_matches_serial(self):
-        datasets = [generate_dataset(random_spec(100 + i,
-                                                 ranges={"num_tables": (1, 3)}))
-                    for i in range(6)]
-        serial = AutoCE(AutoCEConfig(featurize_workers=1))
-        threaded = AutoCE(AutoCEConfig(featurize_workers=4))
-        graphs_s = serial.featurize_many(datasets)
-        graphs_t = threaded.featurize_many(datasets)
-        for a, b in zip(graphs_s, graphs_t):
-            assert a.name == b.name
-            np.testing.assert_array_equal(a.vertices, b.vertices)
-            np.testing.assert_array_equal(a.edges, b.edges)
+class TestCacheCountsWithinABatch:
+    """Each distinct cold fingerprint in a batch is one miss and one
+    forward row; a repeat within the batch is a hit."""
 
+    @pytest.mark.parametrize("batch, hits, misses, rows", [
+        ("ggh", 1, 2, [2]),
+        ("ghg", 1, 2, [2]),
+        ("ggg", 2, 1, [1]),
+        ("gh", 0, 2, [2]),
+    ])
+    def test_cold_batch(self, batch, hits, misses, rows):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config())
+        advisor.fit_graphs(graphs, labels)
+        forwards = []
+        original = advisor.encoder.embed
+        advisor.encoder.embed = lambda b: forwards.append(len(b)) or original(b)
+        queries = [{"g": graphs[0], "h": graphs[1]}[c] for c in batch]
+        got = advisor.embed_many(queries)
+        cache = advisor.embedding_cache
+        assert (cache.hits, cache.misses) == (hits, misses)
+        assert forwards == rows
+        want = original(queries)
+        for row, expected in zip(got, want):
+            assert row.tobytes() == expected.tobytes()
+
+    def test_warm_batch_is_all_hits(self):
+        graphs, labels = tiny_corpus()
+        advisor = AutoCE(fast_config())
+        advisor.fit_graphs(graphs, labels)
+        advisor.embed_many([graphs[0], graphs[1]])
+        forwards = []
+        original = advisor.encoder.embed
+        advisor.encoder.embed = lambda b: forwards.append(len(b)) or original(b)
+        advisor.embed_many([graphs[1], graphs[0], graphs[1]])
+        assert forwards == []
+        assert (advisor.embedding_cache.hits,
+                advisor.embedding_cache.misses) == (3, 2)
+
+
+class TestFeaturizeMany:
     def test_prebuilt_graphs_pass_through(self):
         graphs, _ = tiny_corpus(4)
-        advisor = AutoCE(AutoCEConfig(featurize_workers=4))
+        advisor = AutoCE(AutoCEConfig())
         assert advisor.featurize_many(graphs) == graphs
 
-    def test_worker_auto_mode(self):
-        advisor = AutoCE(AutoCEConfig(featurize_workers=0))
-        datasets = [generate_dataset(random_spec(7, ranges={"num_tables": (1, 2)}))
-                    for _ in range(2)]
+    def test_datasets_are_featurized_in_order(self):
+        datasets = [generate_dataset(random_spec(100 + i,
+                                                 ranges={"num_tables": (1, 3)}))
+                    for i in range(3)]
+        advisor = AutoCE(AutoCEConfig())
         graphs = advisor.featurize_many(datasets)
-        assert all(isinstance(g, FeatureGraph) for g in graphs)
+        for dataset, graph in zip(datasets, graphs):
+            want = advisor.featurize(dataset)
+            assert graph.name == want.name == dataset.name
+            np.testing.assert_array_equal(graph.vertices, want.vertices)
+            np.testing.assert_array_equal(graph.edges, want.edges)
+
+
+#: Inputs that are neither a Dataset nor a FeatureGraph.
+NOT_A_DATASET = {"none": None, "path": "ds.npz", "ndarray": np.zeros((2, 3))}
+
+#: Entry point → call with one bad input; batch entry points get it second.
+ENTRY_POINTS = {
+    "embed": lambda a, g, bad: a.embed(bad),
+    "recommend": lambda a, g, bad: a.recommend(bad),
+    "embed_many": lambda a, g, bad: a.embed_many([g, bad]),
+    "featurize_many": lambda a, g, bad: a.featurize_many([g, bad]),
+    "recommend_batch": lambda a, g, bad: a.recommend_batch([g, bad]),
+}
+
+
+class TestNonDatasetInput:
+    @pytest.fixture(scope="class")
+    def advisor(self):
+        graphs, labels = tiny_corpus()
+        return AutoCE(fast_config()).fit_graphs(graphs, labels), graphs
+
+    @pytest.mark.parametrize("bad", sorted(NOT_A_DATASET))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_type_error_names_position_and_type(self, advisor, entry, bad):
+        advisor, graphs = advisor
+        value = NOT_A_DATASET[bad]
+        where = "datasets[1]" if entry.endswith(("many", "batch")) else "dataset"
+        forwards = []
+        original = advisor.encoder.embed
+        advisor.encoder.embed = lambda b: forwards.append(len(b)) or original(b)
+        try:
+            with pytest.raises(TypeError) as raised:
+                ENTRY_POINTS[entry](advisor, graphs[0], value)
+        finally:
+            del advisor.encoder.embed
+        message = str(raised.value)
+        assert message.startswith(where + " ")
+        assert type(value).__name__ in message
+        assert forwards == []
 
 
 class TestAdvisorExactIndex:

@@ -1,6 +1,5 @@
 """The fault-injection harness itself, and the storage faults it drives —
-torn and corrupted cache entries, stale generation stamps — and NaN
-embeddings entering the RCS."""
+torn and corrupted cache entries — and NaN embeddings entering the RCS."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import pytest
 from repro.core.serving import RecommendationCandidateSet
 from repro.testbed.faults import FaultPlan
 from repro.testbed.scores import ScoreLabel
-from repro.utils.cache import MISSING, DiskCache, PersistentLRUCache
+from repro.utils.cache import MISSING, DiskCache
 
 MODELS = ("A", "B", "C")
 
@@ -26,7 +25,6 @@ BLOB = bytes(range(256)) * 4
 class TestFaultPlanSchedule:
     def test_empty_plan_injects_nothing(self, tmp_path):
         plan = FaultPlan()
-        assert plan.stale_generation is None
         empty = tmp_path / "empty"
         empty.write_bytes(b"")
         plan.tear_file(empty)
@@ -43,8 +41,7 @@ class TestFaultPlanSchedule:
     def test_plan_pickles(self, tmp_path):
         import pickle
 
-        plan = FaultPlan(seed=3, tear_fraction=0.25, corrupt_bytes=5,
-                         stale_generation="weights-v0")
+        plan = FaultPlan(seed=3, tear_fraction=0.25, corrupt_bytes=5)
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
         payloads = []
@@ -117,24 +114,6 @@ class TestTornAndCorruptCacheEntries:
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
         assert payloads[0] != bytes(range(256)) * 4
-
-
-class TestStaleGenerationStamps:
-    def test_stale_generation_entries_are_unreachable(self, tmp_path):
-        directory = tmp_path / "cache"
-        cache = PersistentLRUCache(directory, generation="weights-v1")
-        cache.put("fingerprint", np.arange(4))
-
-        # A straggler node carrying the fault plan's stale stamp must not
-        # serve (or be served) the fresh generation's embeddings.
-        plan = FaultPlan(stale_generation="weights-v0")
-        stale = PersistentLRUCache(directory, generation=plan.stale_generation)
-        assert stale.get("fingerprint", MISSING) is MISSING
-
-        # ... and reopening at the true generation after the straggler ran
-        # never resurrects old rows: the store was invalidated.
-        fresh = PersistentLRUCache(directory, generation="weights-v1")
-        assert fresh.get("fingerprint", MISSING) is MISSING
 
 
 class TestRCSRejectsNonFiniteEmbeddings:

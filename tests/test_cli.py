@@ -117,65 +117,48 @@ class TestLabelAndRecommend:
         assert "embedding cache (in-memory)" in out
         assert "neighbor search: exact" in out
 
-    def test_serve_at_float32_tier(self, advisor_file, dataset_file, capsys):
-        code = main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--dtype", "float32"])
+    def test_serve_repeat_in_one_batch_is_a_cache_hit(
+            self, advisor_file, dataset_file, tmp_path, capsys):
+        other = str(tmp_path / "other.npz")
+        main(["generate", "--seed", "11", "--out", other])
+        capsys.readouterr()
+        code = main(["serve", dataset_file, dataset_file, other,
+                     "--advisor", advisor_file])
         assert code == 0
         out = capsys.readouterr().out
-        assert "served 1 recommendations" in out
-        assert "(float32 tier)" in out
+        assert "served 3 recommendations" in out
+        assert "embedding cache (in-memory): 1 hits / 2 misses" in out
 
-    def test_serve_dtype_cast_preserves_recommendation(self, advisor_file,
-                                                       dataset_file, capsys):
-        assert main(["recommend", dataset_file, "--advisor",
-                     advisor_file]) == 0
-        recommended = [line for line in capsys.readouterr().out.splitlines()
-                       if line.startswith("recommended model:")][0]
-        model = recommended.split(":")[1].strip()
-        assert main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--dtype", "float32"]) == 0
-        assert f"-> {model}" in capsys.readouterr().out
-
-    def test_serve_mixed_tier_keeps_the_pick(self, advisor_file,
-                                             dataset_file, capsys):
-        assert main(["recommend", dataset_file, "--advisor",
-                     advisor_file]) == 0
-        recommended = [line for line in capsys.readouterr().out.splitlines()
-                       if line.startswith("recommended model:")][0]
-        model = recommended.split(":")[1].strip()
-        code = main(["serve", dataset_file, "--advisor", advisor_file,
-                     "--serving-dtype", "float32"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"-> {model}" in out
-        assert "float32 tier over float64 weights" in out
-
-    def test_serve_refuses_upcasting_a_float32_advisor(self, advisor_file,
-                                                       dataset_file,
-                                                       tmp_path):
+    def test_serve_at_float32_tier(self, advisor_file, dataset_file,
+                                   tmp_path, capsys):
+        """A float32-saved advisor is served at its own tier and keeps the
+        float64 advisor's pick."""
         from repro.core.persistence import load_advisor, save_advisor
 
+        assert main(["recommend", dataset_file, "--advisor",
+                     advisor_file]) == 0
+        recommended = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("recommended model:")][0]
+        model = recommended.split(":")[1].strip()
         advisor = load_advisor(advisor_file)
         advisor.set_dtype("float32")
         float32_file = str(tmp_path / "advisor32.npz")
         save_advisor(advisor, float32_file)
-        with pytest.raises(ValueError, match="unrecoverable"):
-            main(["serve", dataset_file, "--advisor", float32_file,
-                  "--dtype", "float64"])
+        code = main(["serve", dataset_file, "--advisor", float32_file])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "served 1 recommendations" in out
+        assert f"-> {model}" in out
+        assert "(float32 tier)" in out
 
-    def test_serve_warm_starts_from_cache_dir(self, advisor_file,
-                                              dataset_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "serve-cache")
-        args = ["serve", dataset_file, "--advisor", advisor_file,
-                "--cache-dir", cache_dir]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert "0 hits / 1 misses" in cold
-        # A fresh process (new load_advisor) serves the repeat from disk.
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert "1 hits / 0 misses" in warm
-        assert "(1 served from disk)" in warm
+    @pytest.mark.parametrize("flag", [
+        ["--cache-dir", "cache"], ["--workers", "2"],
+        ["--dtype", "float32"], ["--serving-dtype", "float32"]])
+    def test_serve_has_no_serving_knobs(self, advisor_file, dataset_file,
+                                        flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", dataset_file, "--advisor",
+                                       advisor_file, *flag])
 
 
 class TestRecommendUserErrors:
@@ -300,6 +283,31 @@ class TestOtherSubcommandUserErrors:
         assert "Traceback" not in captured.err
 
 
+class TestTrainOutCheck:
+    """`repro train` rejects an unusable --out before any labeling."""
+
+    @pytest.mark.parametrize("out", ["/nonexistent/dir/advisor.npz",
+                                     "{file}/advisor.npz"],
+                             ids=["missing-dir", "parent-is-a-file"])
+    def test_fails_before_build_corpus(self, tmp_path, capsys, monkeypatch,
+                                       out):
+        def build_corpus(*args, **kwargs):
+            raise AssertionError("build_corpus ran before the --out check")
+
+        monkeypatch.setattr("repro.experiments.corpus.build_corpus",
+                            build_corpus)
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a file where the output directory should be")
+        out = out.format(file=blocker)
+        code = main(["train", "--corpus", "2", "--fast", "--out", out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"error: cannot write {out!r}")
+
+
 class TestModels:
     def test_lists_registry(self, capsys):
         assert main(["models"]) == 0
@@ -308,8 +316,7 @@ class TestModels:
 
 
 class TestServeFaultTolerance:
-    """`repro serve` robustness: readable failures, daemon mode, and the
-    degraded-storage report."""
+    """`repro serve` robustness: readable failures and daemon mode."""
 
     @pytest.fixture(scope="class")
     def dataset_files(self, tmp_path_factory):
@@ -346,16 +353,6 @@ class TestServeFaultTolerance:
         code = main(["serve", dataset_files[0], "--advisor", str(bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_unusable_cache_dir_is_a_readable_exit_2(self, advisor_file,
-                                                     dataset_files, tmp_path,
-                                                     capsys):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("a file where the cache dir should be")
-        code = main(["serve", dataset_files[0], "--advisor", advisor_file,
-                     "--cache-dir", str(blocker)])
-        assert code == 2
-        assert "cache dir" in capsys.readouterr().err
 
     def test_no_datasets_without_daemon_is_exit_2(self, advisor_file, capsys):
         code = main(["serve", "--advisor", advisor_file])
@@ -405,20 +402,3 @@ class TestServeFaultTolerance:
             assert "/no/such/dataset.npz -> ERROR:" in captured.err
             assert f"{corrupt} -> ERROR:" in captured.err
             assert "Traceback" not in captured.err
-
-    def test_degraded_storage_is_reported(self, advisor_file, dataset_files,
-                                          tmp_path, capsys, monkeypatch):
-        import repro.utils.cache as cache_module
-
-        real_replace = cache_module.os.replace
-
-        def explode(src, dst):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(cache_module.os, "replace", explode)
-        with pytest.warns(RuntimeWarning, match="degraded"):
-            code = main(["serve", dataset_files[0], "--advisor", advisor_file,
-                         "--cache-dir", str(tmp_path / "cache")])
-        monkeypatch.setattr(cache_module.os, "replace", real_replace)
-        assert code == 0
-        assert "degraded storage:" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Utility modules: RNG plumbing, timing, validation."""
+"""Utility modules: RNG plumbing, validation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import rng_from_seed, spawn_rng
-from repro.utils.timing import Timer
 from repro.utils.validation import require, require_in_range
 
 
@@ -29,19 +28,6 @@ class TestRng:
         a = spawn_rng(rng_from_seed(3), "model")
         b = spawn_rng(rng_from_seed(3), "model")
         assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        import time
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_exception_does_not_swallow(self):
-        with pytest.raises(RuntimeError):
-            with Timer():
-                raise RuntimeError("boom")
 
 
 class TestValidation:
